@@ -1,10 +1,10 @@
 """Graph energy, exact spectral moments, and moment-based energy bounds.
 
 The library computes the energy of a simple graph (the sum of absolute
-adjacency eigenvalues) exactly, bounds it from the walk counts n, M2, M4
-through an optimal tangent quartic with a closed form, classifies the graphs
-attaining the bound, and optimises bounds of higher polynomial degree with a
-small LP.
+adjacency eigenvalues) exactly from the LAPACK spectrum, bounds it from the
+walk counts n, M2, M4 through an optimal tangent quartic with a closed form,
+classifies the graphs attaining the bound, and optimises bounds of higher
+polynomial degree with a small LP.
 """
 
 from .extremal import (
@@ -52,6 +52,7 @@ from .moments import (
     MomentSummary,
     NoEdgesError,
     ScaledMoments,
+    codegree_matrix,
     count_quadrilaterals,
     degree_stats,
     moment_summary,
@@ -82,7 +83,6 @@ from .quartic import (
 from .report import BoundReport, analyze_graph, soundness_ok
 from .spectral import (
     CapExceededError,
-    NoConvergenceError,
     Spectrum,
     eigenvalues,
     energy,

@@ -11,8 +11,8 @@ Output ordering and float formatting (12 significant digits) are fixed, so
 identical input produces byte-identical CSV.  The ME_TOLERANCE_SCALE
 environment variable rescales the soundness and tightness tolerances.
 
-Exit codes: 0 on success, 1 on unreadable input (diagnostics name the line),
-2 when --fail-on-violation is set and a soundness check fails.
+Exit codes: 0 on success, 1 on unreadable or oversized input (diagnostics name
+the line or file), 2 when --fail-on-violation is set and a soundness check fails.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from .families import FamilyError, generate_from_string
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .graphs import Graph, GraphError, parse_edge_list
 from .moments import MomentMismatchError, NoEdgesError
-from .polyopt import LpConvergenceError, LpInfeasibleError, bound_sweep
-from .report import analyze_graph, soundness_ok
+from .polyopt import MAX_LP_DEGREE, LpConvergenceError, LpInfeasibleError, bound_sweep
+from .report import analyze_graph, soundness_ok, soundness_slack
+from .spectral import CapExceededError
 
 ANALYZE_COLUMNS = (
     "n",
@@ -156,13 +157,16 @@ def cmd_analyze(args: argparse.Namespace, tol_scale: float) -> int:
     rows = []
     violations = 0
     try:
-        for _, g in _input_graphs(args):
+        for label, g in _input_graphs(args):
             report = analyze_graph(g, tol_scale=tol_scale)
             if not soundness_ok(report, tol_scale):
                 violations += 1
             rows.append(_report_row(report))
-    except (InputError, MomentMismatchError) as err:
+    except InputError as err:
         print(str(err), file=sys.stderr)
+        return 1
+    except (MomentMismatchError, CapExceededError) as err:
+        print(f"{label}: {err}", file=sys.stderr)
         return 1
     _emit(rows, ANALYZE_COLUMNS, args.format, args.out)
     if args.fail_on_violation and violations:
@@ -189,13 +193,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace, tol_scale: float) -> int:
+    if args.max_degree < 2 or args.max_degree % 2 or args.max_degree > MAX_LP_DEGREE:
+        print(
+            f"max degree must be even in 2..{MAX_LP_DEGREE}, got {args.max_degree}",
+            file=sys.stderr,
+        )
+        return 1
     rows = []
     violations = 0
     try:
         for index, (label, g) in enumerate(_input_graphs(args)):
             report = analyze_graph(g, tol_scale=tol_scale)
             entries = bound_sweep(g, args.max_degree)
-            slack = 1e-6 * tol_scale * max(1.0, report.energy)
+            slack = soundness_slack(report.energy, tol_scale)
             for entry in entries:
                 if (
                     entry.upper.objective < report.energy - slack
@@ -217,11 +227,14 @@ def cmd_sweep(args: argparse.Namespace, tol_scale: float) -> int:
                         "energy": report.energy,
                     }
                 )
-    except (InputError, MomentMismatchError, NoEdgesError, ValueError) as err:
+    except InputError as err:
         print(str(err), file=sys.stderr)
         return 1
+    except (MomentMismatchError, NoEdgesError, CapExceededError) as err:
+        print(f"{label}: {err}", file=sys.stderr)
+        return 1
     except (LpConvergenceError, LpInfeasibleError) as err:
-        print(f"LP solve failed: {err}", file=sys.stderr)
+        print(f"{label}: LP solve failed: {err}", file=sys.stderr)
         return 1
     _emit(rows, SWEEP_COLUMNS, args.format, args.out)
     if args.fail_on_violation and violations:

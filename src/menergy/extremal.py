@@ -14,8 +14,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .graphs import Graph, bipartition, is_connected, is_regular
-from .moments import ScaledMoments
+import numpy as np
+
+from .graphs import Graph, adjacency_matrix, bipartition, is_connected, is_regular
+from .moments import ScaledMoments, codegree_matrix
 from .quartic import optimal_tangency
 from .spectral import Spectrum, eigenvalues
 
@@ -74,25 +76,15 @@ def detect_srg(g: Graph) -> tuple[int, int, int, int] | None:
     d = is_regular(g)
     if d is None:
         return None
-    lam: int | None = None
-    mu: int | None = None
-    for u in range(g.n):
-        row = g.adj[u]
-        for v in range(u + 1, g.n):
-            c = (row & g.adj[v]).bit_count()
-            if (row >> v) & 1:
-                if lam is None:
-                    lam = c
-                elif lam != c:
-                    return None
-            else:
-                if mu is None:
-                    mu = c
-                elif mu != c:
-                    return None
-    if lam is None or mu is None:
+    c = codegree_matrix(g)
+    adjacent = adjacency_matrix(g).astype(bool)
+    apart = ~adjacent
+    np.fill_diagonal(apart, False)
+    lams = np.unique(c[adjacent])
+    mus = np.unique(c[apart])
+    if len(lams) != 1 or len(mus) != 1:
         return None
-    return (g.n, d, lam, mu)
+    return (g.n, d, int(lams[0]), int(mus[0]))
 
 
 def detect_design_incidence(g: Graph) -> tuple[int, int, int] | None:
@@ -116,18 +108,14 @@ def detect_design_incidence(g: Graph) -> tuple[int, int, int] | None:
     k = degs.pop()
     if k < 1:
         return None
-    lam: int | None = None
-    for part in (left, right):
-        for a in range(len(part)):
-            row = g.adj[part[a]]
-            for b in range(a + 1, len(part)):
-                c = (row & g.adj[part[b]]).bit_count()
-                if lam is None:
-                    lam = c
-                elif lam != c:
-                    return None
-    if lam is None:
-        lam = 0
+    side = np.zeros(g.n, dtype=bool)
+    side[list(right)] = True
+    same_part = side[:, None] == side[None, :]
+    np.fill_diagonal(same_part, False)
+    lams = np.unique(codegree_matrix(g)[same_part])
+    if len(lams) > 1:
+        return None
+    lam = int(lams[0]) if len(lams) else 0
     return (v, k, lam)
 
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .graphs import Graph
-from .spectral import TRACE_MAX_VERTICES, trace_moments
+from .spectral import dense_adjacency, trace_moments
 
 
 class MomentMismatchError(RuntimeError):
@@ -44,30 +46,32 @@ def degree_stats(g: Graph) -> DegreeStats:
     )
 
 
-def _codegree_pair_sum(g: Graph) -> int:
-    """Sum over vertex pairs of C(codegree, 2); equals twice the 4-cycle count."""
-    total = 0
-    for u in range(g.n):
-        row = g.adj[u]
-        for v in range(u + 1, g.n):
-            c = (row & g.adj[v]).bit_count()
-            total += c * (c - 1) // 2
-    return total
+def codegree_matrix(g: Graph) -> np.ndarray:
+    """A @ A as int64: off-diagonal entries count common neighbours, the
+    diagonal holds the degrees.
+
+    Computed in float64 BLAS, which is exact because every entry is at most n.
+    """
+    a = dense_adjacency(g)
+    return (a @ a).astype(np.int64)
 
 
-def _quad_count_checked(g: Graph, zagreb: int, m: int, t4: int | None) -> int:
-    pair_sum = _codegree_pair_sum(g)
+def _quad_count_checked(g: Graph, zagreb: int, m: int, t4: int) -> int:
+    c = codegree_matrix(g)
+    np.fill_diagonal(c, 0)
+    # Sum over unordered pairs of C(c, 2): c*(c-1) is twice C(c, 2), and the
+    # ordered pairs visit each unordered pair twice.
+    pair_sum = int((c * (c - 1)).sum()) // 4
     if pair_sum % 2:
         raise MomentMismatchError("common-neighbour pair sum must be even")
     q = pair_sum // 2
-    if t4 is not None:
-        num = t4 - 2 * zagreb + 2 * m
-        if num % 8:
-            raise MomentMismatchError(f"Tr(A^4) - 2*zagreb + 2*m = {num} is not divisible by 8")
-        if num // 8 != q:
-            raise MomentMismatchError(
-                f"4-cycle counts disagree: walk route {num // 8}, codegree route {q}"
-            )
+    num = t4 - 2 * zagreb + 2 * m
+    if num % 8:
+        raise MomentMismatchError(f"Tr(A^4) - 2*zagreb + 2*m = {num} is not divisible by 8")
+    if num // 8 != q:
+        raise MomentMismatchError(
+            f"4-cycle counts disagree: walk route {num // 8}, codegree route {q}"
+        )
     return q
 
 
@@ -75,12 +79,9 @@ def count_quadrilaterals(g: Graph) -> int:
     """Number of 4-cycles as subgraphs, each counted once.
 
     Counted from codegrees (each 4-cycle contributes one pair of opposite
-    vertices twice) and, within the exact-moment size cap, re-derived from
-    Tr(A^4); disagreement raises.
+    vertices twice) and re-derived from Tr(A^4); disagreement raises.
     """
-    st = degree_stats(g)
-    t4 = trace_moments(g, 4)[4] if g.n <= TRACE_MAX_VERTICES else None
-    return _quad_count_checked(g, st.zagreb, st.edge_count, t4)
+    return moment_summary(g).quad_count
 
 
 @dataclass(frozen=True)
@@ -99,13 +100,16 @@ class MomentSummary:
 
 
 def moment_summary(g: Graph) -> MomentSummary:
-    """Assemble all integer moment quantities, self-checking against walk counts."""
+    """Assemble all integer moment quantities, self-checking against walk counts.
+
+    Raises CapExceededError above the dense-kernel vertex cap.
+    """
     st = degree_stats(g)
-    traces = trace_moments(g, 4) if g.n <= TRACE_MAX_VERTICES else None
-    q = _quad_count_checked(g, st.zagreb, st.edge_count, traces[4] if traces else None)
+    traces = trace_moments(g, 4)
+    q = _quad_count_checked(g, st.zagreb, st.edge_count, traces[4])
     m2 = 2 * st.edge_count
     m4 = 2 * st.zagreb - 2 * st.edge_count + 8 * q
-    if traces is not None and (m2 != traces[2] or m4 != traces[4]):
+    if m2 != traces[2] or m4 != traces[4]:
         raise MomentMismatchError("combinatorial moments disagree with closed-walk counts")
     return MomentSummary(
         n=g.n,

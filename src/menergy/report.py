@@ -24,8 +24,6 @@ class BoundReport:
     van_dam_bound: float | None
     tangency: float
     tangency_clamped: bool
-    lp_upper: float | None
-    lp_lower: float | None
     tightness: float
     classification: EqualityClass
     connected: bool
@@ -51,8 +49,6 @@ def analyze_graph(
             van_dam_bound=None,
             tangency=1.0,
             tangency_clamped=True,
-            lp_upper=None,
-            lp_lower=None,
             tightness=1.0,
             classification=EqualityClass("TightUnclassified"),
             connected=connected,
@@ -75,15 +71,17 @@ def analyze_graph(
         van_dam_bound=vd,
         tangency=tangency,
         tangency_clamped=clamped,
-        lp_upper=None,
-        lp_lower=None,
         tightness=bound / energy_value,
         classification=classification,
         connected=connected,
     )
 
 
+def soundness_slack(energy: float, tol_scale: float) -> float:
+    """How far a bound may cross the exact energy before it counts as a violation."""
+    return SOUNDNESS_RTOL * tol_scale * max(1.0, energy)
+
+
 def soundness_ok(report: BoundReport, tol_scale: float = 1.0) -> bool:
     """The non-negotiable invariant: the upper bound may not undercut the energy."""
-    slack = SOUNDNESS_RTOL * tol_scale * max(1.0, report.energy)
-    return report.quartic_bound >= report.energy - slack
+    return report.quartic_bound >= report.energy - soundness_slack(report.energy, tol_scale)

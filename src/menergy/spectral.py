@@ -1,10 +1,9 @@
 """Adjacency spectra, graph energy, and exact closed-walk counts.
 
-The eigensolver is a cyclic Jacobi iteration: repeated 2x2 rotations chosen
-row by row, sweeping until the off-diagonal Frobenius norm falls below
-1e-12 * n * max(1, max_degree).  Jacobi is slower than tridiagonalisation but
-its accuracy story is simple (every rotation is orthogonal to working
-precision) and the matrices here are small and dense.
+Eigenpairs come from LAPACK (``numpy.linalg.eigh``).  Energy is the trace norm
+of A, so sqrt(n) times the residual ||A V - V Lambda||_F that a Spectrum carries
+bounds the energy error of the computed spectrum.  Every dense n x n kernel
+refuses graphs above TRACE_MAX_VERTICES before it allocates a matrix.
 """
 
 from __future__ import annotations
@@ -18,16 +17,6 @@ from .graphs import Graph, adjacency_matrix
 TRACE_MAX_POWER = 16
 TRACE_MAX_VERTICES = 2048
 
-JACOBI_MAX_SWEEPS = 100
-
-
-class NoConvergenceError(RuntimeError):
-    """The sweep cap was reached before the off-diagonal norm target."""
-
-    def __init__(self, residual: float, message: str):
-        super().__init__(message)
-        self.residual = residual
-
 
 class CapExceededError(ValueError):
     """A request outside the supported exact-arithmetic size caps."""
@@ -35,69 +24,27 @@ class CapExceededError(ValueError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues in descending order plus the final off-diagonal residual."""
+    """Eigenvalues in descending order plus the eigenpair residual ``||A V - V Lambda||_F``."""
 
     eigenvalues: tuple[float, ...]
     residual: float
 
 
-def _off_norm(a: np.ndarray) -> float:
-    # Summing the off-diagonal squares directly avoids the cancellation noise
-    # of the "total minus diagonal" form, which floors near sqrt(eps)*|A|.
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float(np.linalg.norm(b))
+def dense_adjacency(g: Graph) -> np.ndarray:
+    """The float64 adjacency matrix, refused above the dense-kernel vertex cap."""
+    if g.n > TRACE_MAX_VERTICES:
+        raise CapExceededError(f"n={g.n} exceeds the dense-matrix cap {TRACE_MAX_VERTICES}")
+    return adjacency_matrix(g).astype(np.float64)
 
 
-def _jacobi(a: np.ndarray, tol: float, max_sweeps: int) -> tuple[np.ndarray, float]:
-    n = a.shape[0]
-    off = _off_norm(a)
-    sweeps = 0
-    # Rotations with |a_pq| below this threshold are skipped; the leftovers
-    # keep the off-diagonal norm under tol once every entry is that small.
-    skip = tol / (2.0 * n)
-    while off > tol:
-        if sweeps >= max_sweeps:
-            raise NoConvergenceError(
-                off, f"Jacobi failed to converge in {max_sweeps} sweeps (residual {off:.3e})"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-        sweeps += 1
-        off = _off_norm(a)
-    return np.diag(a).copy(), off
-
-
-def eigenvalues(g: Graph, max_sweeps: int = JACOBI_MAX_SWEEPS) -> Spectrum:
+def eigenvalues(g: Graph) -> Spectrum:
     """All adjacency eigenvalues of g, descending."""
     if g.n == 0:
         return Spectrum((), 0.0)
-    max_degree = max(g.degrees())
-    a = adjacency_matrix(g).astype(np.float64)
-    tol = 1e-12 * g.n * max(1, max_degree)
-    vals, residual = _jacobi(a, tol, max_sweeps)
-    ordered = tuple(float(v) for v in np.sort(vals)[::-1])
-    return Spectrum(ordered, residual)
+    a = dense_adjacency(g)
+    vals, vecs = np.linalg.eigh(a)
+    residual = float(np.linalg.norm(a @ vecs - vecs * vals))
+    return Spectrum(tuple(float(v) for v in vals[::-1]), residual)
 
 
 def energy(g: Graph) -> float:
@@ -108,10 +55,11 @@ def energy(g: Graph) -> float:
 def trace_moments(g: Graph, max_power: int) -> list[int]:
     """Exact Tr(A^k) for k = 0..max_power; equals the closed-walk counts.
 
-    Powers are computed in int64 while safe and escalated to Python integers
-    when an entry of the next product could reach 2^62.  Entries of A^k are
-    walk counts, so every partial sum in a product is bounded by the final
-    entry and the pre-multiply check is sufficient.
+    Powers are computed in float64 BLAS while exact and escalated to Python
+    integers when an entry of the next product could reach 2^53.  Entries of
+    A^k are walk counts, so every partial sum in a product is a non-negative
+    integer bounded by the final entry and the pre-multiply check is
+    sufficient.
     """
     if max_power < 0:
         raise ValueError(f"power must be non-negative, got {max_power}")
@@ -120,21 +68,16 @@ def trace_moments(g: Graph, max_power: int) -> list[int]:
         return out
     if max_power > TRACE_MAX_POWER:
         raise CapExceededError(f"power {max_power} exceeds cap {TRACE_MAX_POWER}")
-    if g.n > TRACE_MAX_VERTICES:
-        raise CapExceededError(f"n={g.n} exceeds exact-moment cap {TRACE_MAX_VERTICES}")
-    base = adjacency_matrix(g)
+    base = dense_adjacency(g)
     max_degree = max(g.degrees(), default=0)
     power = base
-    widened = False
     for _ in range(2, max_power + 1):
-        if not widened:
-            peak = int(power.max()) if power.size else 0
-            if peak * max(1, max_degree) >= 2**62:
-                power = power.astype(object)
-                base = base.astype(object)
-                widened = True
-        power = np.dot(power, base)
-        out.append(sum(int(power[i, i]) for i in range(g.n)))
+        if power.dtype != object and int(power.max(initial=0)) * max(1, max_degree) >= 2**53:
+            # Through int64 first: float64 straight to object gives Python floats.
+            power = power.astype(np.int64).astype(object)
+            base = base.astype(np.int64).astype(object)
+        power = power @ base
+        out.append(sum(int(x) for x in power.diagonal()))
     return out
 
 

@@ -127,3 +127,38 @@ def brute_force_quad_count(g: me.Graph) -> int:
             ):
                 count += 1
     return count
+
+
+def _common_neighbours(g: me.Graph, u: int, v: int) -> int:
+    return sum(1 for w in range(g.n) if g.has_edge(u, w) and g.has_edge(v, w))
+
+
+def brute_force_srg(g: me.Graph) -> tuple[int, int, int, int] | None:
+    """Strongly regular parameters by counting common neighbours pair by pair."""
+    degrees = set(g.degrees())
+    if g.n < 2 or len(degrees) != 1:
+        return None
+    lams, mus = set(), set()
+    for u, v in itertools.combinations(range(g.n), 2):
+        (lams if g.has_edge(u, v) else mus).add(_common_neighbours(g, u, v))
+    if len(lams) != 1 or len(mus) != 1:
+        return None
+    return (g.n, degrees.pop(), lams.pop(), mus.pop())
+
+
+def brute_force_design(g: me.Graph) -> tuple[int, int, int] | None:
+    """Symmetric design parameters by counting common neighbours within each part."""
+    parts = me.bipartition(g)
+    if parts is None or not parts[0] or len(parts[0]) != len(parts[1]):
+        return None
+    degrees = set(g.degrees())
+    if len(degrees) != 1 or 0 in degrees:
+        return None
+    lams = {
+        _common_neighbours(g, u, v)
+        for part in parts
+        for u, v in itertools.combinations(part, 2)
+    }
+    if len(lams) > 1:
+        return None
+    return (len(parts[0]), degrees.pop(), lams.pop() if lams else 0)

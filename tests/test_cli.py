@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, determinism, diagnostics, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 
 import menergy.cli as cli
 from menergy.cli import ANALYZE_COLUMNS, SWEEP_COLUMNS, main
+from menergy.spectral import TRACE_MAX_VERTICES
 
 
 def run_cli(argv, capsys):
@@ -164,6 +166,18 @@ def test_fail_on_violation_exit_code(monkeypatch, capsys):
     assert out.startswith("n,m,")
 
 
+def test_analyze_refuses_graph_above_vertex_cap(tmp_path, capsys):
+    n = TRACE_MAX_VERTICES + 1
+    body = "?" * ((n * (n - 1) // 2 + 5) // 6)  # no edges
+    header = "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
+    path = tmp_path / "big.g6"
+    path.write_text("A_\n" + header + body + "\n")
+    code, out, err = run_cli(["analyze", "--in", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("line 2:") and "cap" in err
+
+
 # ---------------------------------------------------------------------------
 # generate
 
@@ -230,6 +244,54 @@ def test_sweep_rejects_odd_max_degree(capsys):
     assert code == 1
     assert out == ""
     assert "degree" in err
+
+
+def test_sweep_rejects_max_degree_above_lp_cap(capsys):
+    code, out, err = run_cli(["sweep", "--gen", "petersen", "--max-degree", "18"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "degree" in err
+
+
+def test_sweep_refuses_graph_above_vertex_cap(tmp_path, capsys):
+    path = tmp_path / "big.edges"
+    path.write_text(f"n {TRACE_MAX_VERTICES + 1}\n0 1\n")
+    code, out, err = run_cli(
+        ["sweep", "--in", str(path), "--in-format", "edgelist", "--max-degree", "2"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"{path}:") and "cap" in err
+
+
+def test_sweep_lets_unexpected_value_errors_propagate(monkeypatch, capsys):
+    def broken(g, max_degree):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "bound_sweep", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["sweep", "--gen", "petersen", "--max-degree", "2"])
+
+
+def test_sweep_gate_uses_the_soundness_tolerance(monkeypatch, capsys):
+    # 5e-7 relative below the energy: outside SOUNDNESS_RTOL = 1e-7.
+    real = cli.bound_sweep
+
+    def undercut(g, max_degree):
+        energy = 16.0  # Petersen
+        return tuple(
+            dataclasses.replace(
+                e, upper=dataclasses.replace(e.upper, objective=energy * (1 - 5e-7))
+            )
+            for e in real(g, max_degree)
+        )
+
+    monkeypatch.setattr(cli, "bound_sweep", undercut)
+    code, out, err = run_cli(
+        ["sweep", "--gen", "petersen", "--max-degree", "2", "--fail-on-violation"], capsys
+    )
+    assert code == 2
+    assert "1 bound violation(s)" in err
 
 
 def test_sweep_edgeless_graph_fails_cleanly(capsys):

@@ -2,12 +2,24 @@
 
 import warnings
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import menergy as me
 
-from conftest import CORPUS_SPECS, corpus_graph, spectrum_of, summary_of
+from conftest import (
+    CORPUS_SPECS,
+    brute_force_design,
+    brute_force_quad_count,
+    brute_force_srg,
+    corpus_graph,
+    spectrum_of,
+    summary_of,
+)
 
 
 def expand(multiplicity_spectrum):
@@ -62,6 +74,46 @@ def test_detect_design_incidence(spec, params):
 @pytest.mark.parametrize("spec", ["petersen", "star:4", "path:5", "bipartite:2:3", "complete:5"])
 def test_detect_design_incidence_rejects(spec):
     assert me.detect_design_incidence(corpus_graph(spec)) is None
+
+
+# Families that pass a detector, mixed in so the property is not all rejections.
+_DETECTABLE_SPECS = [
+    "cycle:4",
+    "cycle:5",
+    "complete:2",
+    "bipartite:3:3",
+    "petersen",
+    "heawood",
+    "rook:3",
+    "projective:2",
+    "union:complete:2,complete:2",
+]
+
+
+def _relabelled(spec: str, seed: int) -> me.Graph:
+    g = me.generate_from_string(spec)
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return me.Graph.from_edges(g.n, [(perm[i], perm[j]) for i, j in g.edges()])
+
+
+_small_graphs = st.one_of(
+    st.builds(
+        me.random_gnp,
+        st.integers(min_value=0, max_value=14),
+        st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]),
+        st.integers(min_value=0, max_value=10_000),
+    ),
+    st.builds(_relabelled, st.sampled_from(_DETECTABLE_SPECS), st.integers(0, 10_000)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_graphs)
+def test_property_codegree_detectors_match_pairwise_oracles(g):
+    assert me.detect_srg(g) == brute_force_srg(g)
+    assert me.detect_design_incidence(g) == brute_force_design(g)
+    assert me.count_quadrilaterals(g) == brute_force_quad_count(g)
 
 
 @pytest.mark.parametrize(
