@@ -8,11 +8,11 @@
 
 graph6 input is one graph per line; edge-list input is one graph per file.
 Output ordering and float formatting (12 significant digits) are fixed, so
-identical input produces byte-identical CSV.  The ME_TOLERANCE_SCALE
-environment variable rescales the soundness and tightness tolerances.
+identical input produces byte-identical CSV.
 
 Exit codes: 0 on success, 1 on unreadable or oversized input (diagnostics name
-the line or file), 2 when --fail-on-violation is set and a soundness check fails.
+the line or file), 2 when --fail-on-violation is set and a bound crosses the
+exact energy by more than the soundness slack.
 """
 
 from __future__ import annotations
@@ -21,16 +21,16 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 from .families import FamilyError, generate_from_string
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .graphs import Graph, GraphError, parse_edge_list
 from .moments import MomentMismatchError, NoEdgesError
 from .polyopt import MAX_LP_DEGREE, LpConvergenceError, LpInfeasibleError, bound_sweep
-from .report import analyze_graph, soundness_ok, soundness_slack
+from .report import analyze_graph, soundness_ok
 from .spectral import CapExceededError
 
 ANALYZE_COLUMNS = (
@@ -92,10 +92,18 @@ def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
         yield g.label, g
         return
     try:
-        with open(args.infile, "r", encoding="ascii") as handle:
-            content = handle.read()
+        with open(args.infile, "rb") as handle:
+            data = handle.read()
     except OSError as err:
         raise InputError(f"cannot read {args.infile}: {err}") from err
+    try:
+        content = data.decode("ascii")
+    except UnicodeDecodeError as err:
+        # Number lines the way the parsers do: splitlines on the clean prefix.
+        lineno = len((data[: err.start].decode("ascii") + "x").splitlines())
+        raise InputError(
+            f"{args.infile}: line {lineno}: non-ASCII byte 0x{data[err.start]:02x}"
+        ) from None
     if args.in_format == "edgelist":
         try:
             yield args.infile, parse_edge_list(content)
@@ -121,6 +129,10 @@ def _emit(rows: list[dict], columns: tuple[str, ...], fmt: str, out: str | None)
         for row in rows:
             writer.writerow([_fmt(row[k]) for k in columns])
         text = buf.getvalue()
+    _write(text, out)
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="ascii", newline="") as handle:
             handle.write(text)
@@ -153,24 +165,58 @@ def _report_row(report) -> dict:
     }
 
 
-def cmd_analyze(args: argparse.Namespace, tol_scale: float) -> int:
+def _analyze_rows(index: int, label: str, g: Graph) -> list[tuple[dict, bool]]:
+    report = analyze_graph(g)
+    return [(_report_row(report), soundness_ok(report.energy, report.quartic_bound))]
+
+
+def _sweep_rows(max_degree: int, index: int, label: str, g: Graph) -> list[tuple[dict, bool]]:
+    report = analyze_graph(g)
+    out = []
+    for entry in bound_sweep(g, max_degree):
+        row = {
+            "graph": index,
+            "label": label,
+            "degree": entry.degree,
+            "lp_upper": entry.upper.objective,
+            "upper_status": entry.upper.status,
+            "upper_certified": entry.upper.certified,
+            "lp_lower": entry.lower.objective,
+            "lower_status": entry.lower.status,
+            "lower_certified": entry.lower.certified,
+            "quartic_bound": report.quartic_bound,
+            "energy": report.energy,
+        }
+        out.append((row, soundness_ok(report.energy, entry.upper.objective, entry.lower.objective)))
+    return out
+
+
+def _run_batch(
+    args: argparse.Namespace,
+    graph_rows: Callable[[int, str, Graph], list[tuple[dict, bool]]],
+    columns: tuple[str, ...],
+    noun: str,
+) -> int:
+    """Emit the rows of every input graph or none; each unsound row is a violation."""
     rows = []
     violations = 0
     try:
-        for label, g in _input_graphs(args):
-            report = analyze_graph(g, tol_scale=tol_scale)
-            if not soundness_ok(report, tol_scale):
-                violations += 1
-            rows.append(_report_row(report))
+        for index, (label, g) in enumerate(_input_graphs(args)):
+            for row, sound in graph_rows(index, label, g):
+                rows.append(row)
+                violations += not sound
     except InputError as err:
         print(str(err), file=sys.stderr)
         return 1
-    except (MomentMismatchError, CapExceededError) as err:
+    except (MomentMismatchError, NoEdgesError, CapExceededError) as err:
         print(f"{label}: {err}", file=sys.stderr)
         return 1
-    _emit(rows, ANALYZE_COLUMNS, args.format, args.out)
+    except (LpConvergenceError, LpInfeasibleError) as err:
+        print(f"{label}: LP solve failed: {err}", file=sys.stderr)
+        return 1
+    _emit(rows, columns, args.format, args.out)
     if args.fail_on_violation and violations:
-        print(f"{violations} soundness violation(s)", file=sys.stderr)
+        print(f"{violations} {noun} violation(s)", file=sys.stderr)
         return 2
     return 0
 
@@ -183,63 +229,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     except (FamilyError, Graph6Error) as err:
         print(str(err), file=sys.stderr)
         return 1
-    text = "".join(line + "\n" for line in lines)
-    if args.out:
-        with open(args.out, "w", encoding="ascii", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def cmd_sweep(args: argparse.Namespace, tol_scale: float) -> int:
-    if args.max_degree < 2 or args.max_degree % 2 or args.max_degree > MAX_LP_DEGREE:
-        print(
-            f"max degree must be even in 2..{MAX_LP_DEGREE}, got {args.max_degree}",
-            file=sys.stderr,
-        )
-        return 1
-    rows = []
-    violations = 0
-    try:
-        for index, (label, g) in enumerate(_input_graphs(args)):
-            report = analyze_graph(g, tol_scale=tol_scale)
-            entries = bound_sweep(g, args.max_degree)
-            slack = soundness_slack(report.energy, tol_scale)
-            for entry in entries:
-                if (
-                    entry.upper.objective < report.energy - slack
-                    or entry.lower.objective > report.energy + slack
-                ):
-                    violations += 1
-                rows.append(
-                    {
-                        "graph": index,
-                        "label": label,
-                        "degree": entry.degree,
-                        "lp_upper": entry.upper.objective,
-                        "upper_status": entry.upper.status,
-                        "upper_certified": entry.upper.certified,
-                        "lp_lower": entry.lower.objective,
-                        "lower_status": entry.lower.status,
-                        "lower_certified": entry.lower.certified,
-                        "quartic_bound": report.quartic_bound,
-                        "energy": report.energy,
-                    }
-                )
-    except InputError as err:
-        print(str(err), file=sys.stderr)
-        return 1
-    except (MomentMismatchError, NoEdgesError, CapExceededError) as err:
-        print(f"{label}: {err}", file=sys.stderr)
-        return 1
-    except (LpConvergenceError, LpInfeasibleError) as err:
-        print(f"{label}: LP solve failed: {err}", file=sys.stderr)
-        return 1
-    _emit(rows, SWEEP_COLUMNS, args.format, args.out)
-    if args.fail_on_violation and violations:
-        print(f"{violations} bound violation(s)", file=sys.stderr)
-        return 2
+    _write("".join(line + "\n" for line in lines), args.out)
     return 0
 
 
@@ -250,51 +240,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="per-graph moments, energy, bounds, classification")
-    source = analyze.add_mutually_exclusive_group(required=True)
-    source.add_argument("--in", dest="infile", metavar="FILE", help="input file")
-    source.add_argument("--gen", metavar="SPEC", help="generate a family instead of reading")
-    analyze.add_argument("--in-format", choices=("graph6", "edgelist"), default="graph6")
-    analyze.add_argument("--format", choices=("csv", "json"), default="csv")
-    analyze.add_argument("--out", metavar="FILE", help="write here instead of stdout")
-    analyze.add_argument(
-        "--fail-on-violation",
-        action="store_true",
-        help="exit 2 if any upper bound undercuts the exact energy",
-    )
+    for name, summary in (
+        ("analyze", "per-graph moments, energy, bounds, classification"),
+        ("sweep", "LP bound table over even degrees"),
+    ):
+        cmd = sub.add_parser(name, help=summary)
+        source = cmd.add_mutually_exclusive_group(required=True)
+        source.add_argument("--in", dest="infile", metavar="FILE", help="input file")
+        source.add_argument("--gen", metavar="SPEC", help="generate a family instead of reading")
+        cmd.add_argument("--in-format", choices=("graph6", "edgelist"), default="graph6")
+        if name == "sweep":
+            cmd.add_argument("--max-degree", type=int, required=True, metavar="K")
+        cmd.add_argument("--format", choices=("csv", "json"), default="csv")
+        cmd.add_argument("--out", metavar="FILE", help="write here instead of stdout")
+        cmd.add_argument(
+            "--fail-on-violation",
+            action="store_true",
+            help="exit 2 if an upper bound undercuts or a lower bound exceeds the exact energy",
+        )
 
     generate = sub.add_parser("generate", help="emit graph6 lines for family specs")
     generate.add_argument("spec", nargs="+", metavar="SPEC")
     generate.add_argument("--out", metavar="FILE")
-
-    sweep = sub.add_parser("sweep", help="LP bound table over even degrees")
-    source = sweep.add_mutually_exclusive_group(required=True)
-    source.add_argument("--in", dest="infile", metavar="FILE")
-    source.add_argument("--gen", metavar="SPEC")
-    sweep.add_argument("--in-format", choices=("graph6", "edgelist"), default="graph6")
-    sweep.add_argument("--max-degree", type=int, required=True, metavar="K")
-    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
-    sweep.add_argument("--out", metavar="FILE")
-    sweep.add_argument("--fail-on-violation", action="store_true")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    raw = os.environ.get("ME_TOLERANCE_SCALE", "1")
-    try:
-        tol_scale = float(raw)
-    except ValueError:
-        print(f"invalid ME_TOLERANCE_SCALE {raw!r}: expected a number", file=sys.stderr)
-        return 1
-    if not tol_scale > 0:
-        print(f"invalid ME_TOLERANCE_SCALE {raw!r}: must be positive", file=sys.stderr)
-        return 1
-    if args.command == "analyze":
-        return cmd_analyze(args, tol_scale)
     if args.command == "generate":
         return cmd_generate(args)
-    return cmd_sweep(args, tol_scale)
+    if args.command == "analyze":
+        return _run_batch(args, _analyze_rows, ANALYZE_COLUMNS, "soundness")
+    if args.max_degree < 2 or args.max_degree % 2 or args.max_degree > MAX_LP_DEGREE:
+        print(
+            f"max degree must be even in 2..{MAX_LP_DEGREE}, got {args.max_degree}",
+            file=sys.stderr,
+        )
+        return 1
+    return _run_batch(args, partial(_sweep_rows, args.max_degree), SWEEP_COLUMNS, "bound")
 
 
 if __name__ == "__main__":

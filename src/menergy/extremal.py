@@ -143,7 +143,6 @@ def classify_equality(
     sm: ScaledMoments | None,
     energy_value: float,
     bound: float,
-    tol: float = TIGHTNESS_RTOL,
     spectrum: Spectrum | None = None,
 ) -> EqualityClass:
     """Decide whether the bound is attained and, if so, by which family.
@@ -154,7 +153,7 @@ def classify_equality(
     reported as Complete.  A tight graph outside every family triggers a
     warning and comes back TightUnclassified.
     """
-    if abs(bound - energy_value) > tol * max(1.0, energy_value):
+    if abs(bound - energy_value) > TIGHTNESS_RTOL * max(1.0, energy_value):
         return EqualityClass("NotTight")
     member = spectrum_membership(g, sm, spectrum) if sm is not None else False
     if g.n < 2 or not is_connected(g):

@@ -7,6 +7,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+TRACE_MAX_VERTICES = 2048  # largest n any dense n x n kernel or edge-list header accepts
+
 
 class GraphError(ValueError):
     """Structurally invalid graph input: self loops, bad indices, malformed text."""
@@ -39,9 +41,8 @@ class Graph:
             raise GraphError("vertex count must be non-negative")
         if len(self.adj) != self.n:
             raise GraphError("adjacency length does not match vertex count")
-        full = (1 << self.n) - 1
         for i, row in enumerate(self.adj):
-            if row & ~full:
+            if row >> self.n:
                 raise GraphError(f"vertex {i}: neighbour index out of range")
             if (row >> i) & 1:
                 raise GraphError(f"vertex {i}: self loop")
@@ -86,11 +87,10 @@ class Graph:
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense 0/1 adjacency matrix with int64 entries."""
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for i, j in g.edges():
-        a[i, j] = 1
-        a[j, i] = 1
-    return a
+    width = (g.n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in g.adj), np.uint8)
+    bits = np.unpackbits(packed.reshape(g.n, width), axis=1, count=g.n, bitorder="little")
+    return bits.astype(np.int64)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -115,6 +115,8 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphError(f"line {head_no}: malformed vertex count {head[1]!r}") from None
     if n < 0:
         raise GraphError(f"line {head_no}: vertex count must be non-negative")
+    if n > TRACE_MAX_VERTICES:
+        raise GraphError(f"line {head_no}: n={n} exceeds the dense-matrix cap {TRACE_MAX_VERTICES}")
     edges = []
     for lineno, ln in numbered[1:]:
         parts = ln.split()

@@ -24,7 +24,7 @@ certified copy as the answer of last resort.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -560,8 +560,9 @@ def bound_sweep(
         raise ValueError(f"max degree must be even in 2..{MAX_LP_DEGREE}, got {max_degree}")
     entries: list[SweepEntry] = []
     for degree in range(2, max_degree + 1, 2):
-        upper = solve_bound_lp(lp_problem(g, degree, "above", coefficient_cap=coefficient_cap))
-        lower = solve_bound_lp(lp_problem(g, degree, "below", coefficient_cap=coefficient_cap))
+        above = lp_problem(g, degree, "above", coefficient_cap=coefficient_cap)
+        upper = solve_bound_lp(above)
+        lower = solve_bound_lp(replace(above, direction="below"))
         if entries:
             if entries[-1].upper.objective < upper.objective:
                 upper = entries[-1].upper

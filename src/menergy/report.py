@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .extremal import EqualityClass, TIGHTNESS_RTOL, classify_equality
+from .extremal import EqualityClass, classify_equality
 from .graphs import Graph, is_connected, is_regular
 from .moments import MomentSummary, ScaledMoments, moment_summary, scaled_moments
 from .quartic import best_quartic_bound, optimal_tangency, van_dam_bound
-from .spectral import Spectrum, eigenvalues
+from .spectral import eigenvalues
 
 SOUNDNESS_RTOL = 1e-7
 
@@ -29,14 +29,11 @@ class BoundReport:
     connected: bool
 
 
-def analyze_graph(
-    g: Graph, tol_scale: float = 1.0, spectrum: Spectrum | None = None
-) -> BoundReport:
+def analyze_graph(g: Graph) -> BoundReport:
     """Full analysis of one graph.
 
     Edgeless graphs short-circuit: energy and bound are both zero and the
-    scaled moments stay unset.  ``tol_scale`` widens (or narrows) the
-    tightness tolerance used for equality classification.
+    scaled moments stay unset.
     """
     summary = moment_summary(g)
     connected = is_connected(g)
@@ -53,16 +50,14 @@ def analyze_graph(
             classification=EqualityClass("TightUnclassified"),
             connected=connected,
         )
-    spec = spectrum if spectrum is not None else eigenvalues(g)
+    spec = eigenvalues(g)
     energy_value = float(sum(abs(v) for v in spec.eigenvalues))
     scaled = scaled_moments(summary)
     tangency, clamped = optimal_tangency(scaled)
     bound = best_quartic_bound(scaled)
     degree = is_regular(g)
     vd = van_dam_bound(g.n, degree) if degree is not None and degree >= 1 and g.n >= 2 else None
-    classification = classify_equality(
-        g, scaled, energy_value, bound, tol=TIGHTNESS_RTOL * tol_scale, spectrum=spec
-    )
+    classification = classify_equality(g, scaled, energy_value, bound, spectrum=spec)
     return BoundReport(
         summary=summary,
         scaled=scaled,
@@ -77,11 +72,7 @@ def analyze_graph(
     )
 
 
-def soundness_slack(energy: float, tol_scale: float) -> float:
-    """How far a bound may cross the exact energy before it counts as a violation."""
-    return SOUNDNESS_RTOL * tol_scale * max(1.0, energy)
-
-
-def soundness_ok(report: BoundReport, tol_scale: float = 1.0) -> bool:
-    """The non-negotiable invariant: the upper bound may not undercut the energy."""
-    return report.quartic_bound >= report.energy - soundness_slack(report.energy, tol_scale)
+def soundness_ok(energy: float, upper: float, lower: float = 0.0) -> bool:
+    """The non-negotiable invariant: neither bound crosses the energy by more than the slack."""
+    slack = SOUNDNESS_RTOL * max(1.0, energy)
+    return upper >= energy - slack and lower <= energy + slack

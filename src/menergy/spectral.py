@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, adjacency_matrix
+from .graphs import TRACE_MAX_VERTICES, Graph, adjacency_matrix
 
 TRACE_MAX_POWER = 16
-TRACE_MAX_VERTICES = 2048
 
 
 class CapExceededError(ValueError):

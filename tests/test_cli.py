@@ -158,7 +158,7 @@ def test_fail_on_violation_passes_on_sound_reports(capsys):
 
 
 def test_fail_on_violation_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "soundness_ok", lambda report, tol: False)
+    monkeypatch.setattr(cli, "soundness_ok", lambda energy, upper, lower=0.0: False)
     code, out, err = run_cli(["analyze", "--gen", "petersen", "--fail-on-violation"], capsys)
     assert code == 2
     assert "1 soundness violation(s)" in err
@@ -310,39 +310,131 @@ def test_sweep_multiple_graphs_indexed(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# tolerance environment variable
+# input errors and the soundness gate, shared by analyze and sweep
+
+COMMANDS = {"analyze": ["analyze"], "sweep": ["sweep", "--max-degree", "2"]}
 
 
-def test_tolerance_scale_rejects_garbage(monkeypatch, capsys):
-    monkeypatch.setenv("ME_TOLERANCE_SCALE", "banana")
-    code, out, err = run_cli(["analyze", "--gen", "complete:3"], capsys)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_missing_file_fails_cleanly(command, capsys):
+    code, out, err = run_cli(COMMANDS[command] + ["--in", "/nonexistent/x.g6"], capsys)
     assert code == 1
-    assert "ME_TOLERANCE_SCALE" in err
+    assert out == ""
+    assert "cannot read" in err
 
 
-def test_tolerance_scale_rejects_nonpositive(monkeypatch, capsys):
-    monkeypatch.setenv("ME_TOLERANCE_SCALE", "-2")
-    code, out, err = run_cli(["analyze", "--gen", "complete:3"], capsys)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_bad_graph6_line_is_located(command, tmp_path, capsys):
+    path = tmp_path / "bad.g6"
+    path.write_text("A_\nA!\n")
+    code, out, err = run_cli(COMMANDS[command] + ["--in", str(path)], capsys)
     assert code == 1
-    assert "positive" in err
+    assert out == ""
+    assert err.startswith("line 2:")
 
 
-def test_tolerance_scale_accepted(monkeypatch, capsys):
-    monkeypatch.setenv("ME_TOLERANCE_SCALE", "3.5")
-    code, out, err = run_cli(["analyze", "--gen", "complete:3"], capsys)
-    assert code == 0 and err == ""
+@pytest.mark.parametrize("command", COMMANDS)
+def test_bad_edgelist_line_is_located(command, tmp_path, capsys):
+    path = tmp_path / "bad.edges"
+    path.write_text("n 3\n0 1\n1 9\n")
+    code, out, err = run_cli(
+        COMMANDS[command] + ["--in", str(path), "--in-format", "edgelist"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"{path}: line 3:")
 
 
-def test_tolerance_scale_widens_classification(monkeypatch, capsys):
-    # Petersen misses the quartic bound by ~2.5%; a huge tolerance scale
-    # reclassifies it as tight (and, failing every pattern, unexplained).
-    monkeypatch.setenv("ME_TOLERANCE_SCALE", "1e6")
-    with pytest.warns(UserWarning):
-        code, out, _ = run_cli(["analyze", "--gen", "petersen"], capsys)
-    assert code == 0
-    header, rows = parse_csv(out)
-    row = dict(zip(header, rows[0]))
-    assert row["classification"] == "TightUnclassified"
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("in_format", ["graph6", "edgelist"])
+def test_graph_above_vertex_cap_is_refused(command, in_format, tmp_path, capsys):
+    n = TRACE_MAX_VERTICES + 1
+    path = tmp_path / "big"
+    if in_format == "graph6":
+        body = "?" * ((n * (n - 1) // 2 + 5) // 6)  # no edges
+        header = "~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0))
+        path.write_text("A_\n" + header + body + "\n")
+        where = "line 2:"
+    else:
+        path.write_text(f"n {n}\n0 1\n")
+        where = f"{path}: line 1:"
+    code, out, err = run_cli(
+        COMMANDS[command] + ["--in", str(path), "--in-format", in_format], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(where) and "cap" in err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "in_format, data, line",
+    [
+        pytest.param("graph6", b"A_\n\xc3\xa9\n", 2, id="graph6-utf8"),
+        pytest.param("graph6", b"A_\r\nA_\r\n\r\nBw\xff\n", 4, id="graph6-crlf"),
+        pytest.param("edgelist", b"n 3\n0 1\n1 2\xa0\n", 3, id="edgelist-nbsp"),
+    ],
+)
+def test_non_ascii_input_is_located(command, in_format, data, line, tmp_path, capsys):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    code, out, err = run_cli(
+        COMMANDS[command] + ["--in", str(path), "--in-format", in_format], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"{path}: line {line}: non-ASCII byte")
+    assert "Traceback" not in err
+
+
+def test_edgelist_header_far_above_cap_fails_at_once(tmp_path):
+    path = tmp_path / "huge.edges"
+    path.write_text("n 1000000000\n0 1\n")
+    argv = ["analyze", "--in", str(path), "--in-format", "edgelist"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "menergy.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"{path}: line 1:") and "cap" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "energy, upper, lower, ok",
+    [
+        (16.0, 16.0, 16.0, True),
+        (16.0, 16.0 * (1 - 0.5e-7), 0.0, True),  # inside the slack
+        (16.0, 16.0 * (1 - 5e-7), 0.0, False),  # upper undercuts
+        (16.0, 17.0, 16.0 * (1 + 0.5e-7), True),
+        (16.0, 17.0, 16.0 * (1 + 5e-7), False),  # lower exceeds
+        (0.0, -0.5e-7, 0.0, True),  # absolute slack below energy 1
+        (0.0, -5e-7, 0.0, False),
+        (0.0, 0.0, 5e-7, False),
+    ],
+)
+def test_soundness_ok_gates_both_sides(energy, upper, lower, ok):
+    assert cli.soundness_ok(energy, upper, lower) is ok
+
+
+def test_sweep_gate_catches_a_lower_bound_above_the_energy(monkeypatch, capsys):
+    real = cli.bound_sweep
+
+    def overshoot(g, max_degree):
+        return tuple(
+            dataclasses.replace(e, lower=dataclasses.replace(e.lower, objective=16.0 * (1 + 5e-7)))
+            for e in real(g, max_degree)
+        )
+
+    monkeypatch.setattr(cli, "bound_sweep", overshoot)
+    code, out, err = run_cli(
+        ["sweep", "--gen", "petersen", "--max-degree", "4", "--fail-on-violation"], capsys
+    )
+    assert code == 2
+    assert "2 bound violation(s)" in err
+    assert out.startswith("graph,label,")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import menergy as me
-from menergy.graphs import GraphError, bit_indices
+from menergy.graphs import TRACE_MAX_VERTICES, GraphError, bit_indices
 
 from conftest import CORPUS_SPECS, corpus_graph
 
@@ -34,6 +34,12 @@ def test_from_edges_rejects_self_loop():
 def test_from_edges_rejects_out_of_range():
     with pytest.raises(GraphError, match="out of range"):
         me.Graph.from_edges(3, [(0, 3)])
+
+
+@pytest.mark.parametrize("row", [0b100, -1])
+def test_constructor_rejects_neighbour_out_of_range(row):
+    with pytest.raises(GraphError, match="vertex 0: neighbour index out of range"):
+        me.Graph(2, (row, 0))
 
 
 def test_constructor_rejects_asymmetry():
@@ -74,6 +80,21 @@ def test_adjacency_matrix_matches_edges():
         assert a[i, j] == 1
 
 
+@pytest.mark.parametrize("spec", ["path:1", "complete:8", "cycle:9", "gnp:17:0.5:3", "rook:4"])
+def test_adjacency_matrix_matches_edge_loop(spec):
+    g = corpus_graph(spec)
+    ref = np.zeros((g.n, g.n), dtype=np.int64)
+    for i, j in g.edges():
+        ref[i, j] = ref[j, i] = 1
+    a = me.adjacency_matrix(g)
+    assert a.dtype == np.int64 and a.shape == (g.n, g.n)
+    assert np.array_equal(a, ref)
+
+
+def test_adjacency_matrix_of_empty_graph():
+    assert me.adjacency_matrix(me.Graph(0, ())).shape == (0, 0)
+
+
 def test_parse_edge_list():
     g = me.parse_edge_list("n 5\n0 1\n1 2\n\n2 3\n")
     assert (g.n, g.m) == (5, 3)
@@ -96,6 +117,13 @@ def test_parse_edge_list():
 def test_parse_edge_list_diagnostics(text, message):
     with pytest.raises(GraphError, match=message):
         me.parse_edge_list(text)
+
+
+def test_parse_edge_list_refuses_header_above_vertex_cap():
+    g = me.parse_edge_list(f"n {TRACE_MAX_VERTICES}\n0 1\n")
+    assert (g.n, g.m) == (TRACE_MAX_VERTICES, 1)
+    with pytest.raises(GraphError, match=f"line 1: n={TRACE_MAX_VERTICES + 1} exceeds .* cap"):
+        me.parse_edge_list(f"n {TRACE_MAX_VERTICES + 1}\n0 1\n")
 
 
 def test_is_connected():
