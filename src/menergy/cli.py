@@ -11,19 +11,20 @@ Output ordering and float formatting (12 significant digits) are fixed, so
 identical input produces byte-identical CSV.
 
 Exit codes: 0 on success, 1 on unreadable or oversized input (diagnostics name
-the line or file), 2 when --fail-on-violation is set and a bound crosses the
-exact energy by more than the soundness slack.
+the line or file) or an unwritable --out (opened before any work), 2 when
+--fail-on-violation is set and a bound crosses the exact energy by more than
+the soundness slack.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from contextlib import nullcontext
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TextIO
 
 from .families import FamilyError, generate_from_string
 from .graph6 import Graph6Error, parse_graph6, write_graph6
@@ -119,25 +120,14 @@ def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
             raise InputError(f"line {lineno}: {err}") from err
 
 
-def _emit(rows: list[dict], columns: tuple[str, ...], fmt: str, out: str | None) -> None:
+def _emit(rows: list[dict], columns: tuple[str, ...], fmt: str, sink: TextIO) -> None:
     if fmt == "json":
-        text = json.dumps([{k: row[k] for k in columns} for row in rows], indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in columns])
-        text = buf.getvalue()
-    _write(text, out)
-
-
-def _write(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="ascii", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        sink.write(json.dumps([{k: row[k] for k in columns} for row in rows], indent=2) + "\n")
+        return
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(row[k]) for k in columns])
 
 
 def _report_row(report) -> dict:
@@ -193,6 +183,7 @@ def _sweep_rows(max_degree: int, index: int, label: str, g: Graph) -> list[tuple
 
 def _run_batch(
     args: argparse.Namespace,
+    sink: TextIO,
     graph_rows: Callable[[int, str, Graph], list[tuple[dict, bool]]],
     columns: tuple[str, ...],
     noun: str,
@@ -214,14 +205,14 @@ def _run_batch(
     except (LpConvergenceError, LpInfeasibleError) as err:
         print(f"{label}: LP solve failed: {err}", file=sys.stderr)
         return 1
-    _emit(rows, columns, args.format, args.out)
+    _emit(rows, columns, args.format, sink)
     if args.fail_on_violation and violations:
         print(f"{violations} {noun} violation(s)", file=sys.stderr)
         return 2
     return 0
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: argparse.Namespace, sink: TextIO) -> int:
     lines = []
     try:
         for spec_text in args.spec:
@@ -229,7 +220,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     except (FamilyError, Graph6Error) as err:
         print(str(err), file=sys.stderr)
         return 1
-    _write("".join(line + "\n" for line in lines), args.out)
+    sink.write("".join(line + "\n" for line in lines))
     return 0
 
 
@@ -267,17 +258,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "generate":
-        return cmd_generate(args)
-    if args.command == "analyze":
-        return _run_batch(args, _analyze_rows, ANALYZE_COLUMNS, "soundness")
-    if args.max_degree < 2 or args.max_degree % 2 or args.max_degree > MAX_LP_DEGREE:
+    if args.command == "sweep" and (
+        args.max_degree < 2 or args.max_degree % 2 or args.max_degree > MAX_LP_DEGREE
+    ):
         print(
             f"max degree must be even in 2..{MAX_LP_DEGREE}, got {args.max_degree}",
             file=sys.stderr,
         )
         return 1
-    return _run_batch(args, partial(_sweep_rows, args.max_degree), SWEEP_COLUMNS, "bound")
+    # Open --out before any work, so an unwritable path costs no computation.
+    try:
+        sink = open(args.out, "w", encoding="ascii", newline="") if args.out else None
+    except OSError as err:
+        print(f"cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
+        return 1
+    with sink or nullcontext(sys.stdout) as handle:
+        if args.command == "generate":
+            return cmd_generate(args, handle)
+        if args.command == "analyze":
+            return _run_batch(args, handle, _analyze_rows, ANALYZE_COLUMNS, "soundness")
+        return _run_batch(
+            args, handle, partial(_sweep_rows, args.max_degree), SWEEP_COLUMNS, "bound"
+        )
 
 
 if __name__ == "__main__":

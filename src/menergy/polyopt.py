@@ -12,14 +12,16 @@ solutions are re-verified on the continuous interval and worst violators are
 added as cutting planes until the check passes; only then is a solution
 certified.
 
-The solver is a dense two-phase tableau simplex with Bland's rule.  The
-coefficient problem has few variables but many constraints, so it is solved
-through its dual (one variable per sampled point, one equation per
-coefficient) and the primal coefficients are read off the equality
-multipliers at optimality.  Tangential contact with |x| makes the refined
-vertices ill-conditioned, so recovery failures fall back to a direct primal
-solve, and rounds that still miss certification keep a constant-shifted
-certified copy as the answer of last resort.
+The solver is a dense two-phase tableau simplex.  It prices by Dantzig's
+rule and falls back on Bland's rule during long runs of degenerate pivots,
+the only place where the simplex can cycle.  The coefficient problem has few
+variables but many constraints, so it is solved through its dual (one
+variable per sampled point, one equation per coefficient) and the primal
+coefficients are read off the equality multipliers at optimality.
+Tangential contact with |x| makes the refined vertices ill-conditioned, so
+recovery failures fall back to a direct primal solve, and rounds that still
+miss certification keep a constant-shifted certified copy as the answer of
+last resort.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ DEFAULT_COEFFICIENT_CAP = 1e6
 _FEAS_TOL = 1e-8
 _PIVOT_TOL = 1e-11
 _COST_TOL = 1e-9
+# Ratios within _RATIO_TOL of the minimum tie in the ratio test, and a pivot
+# whose minimum ratio is at most _RATIO_TOL is degenerate: the vertex stays.
+# After _BLAND_AFTER degenerate pivots in a row, pricing switches to Bland's
+# rule until the next pivot that moves.
+_RATIO_TOL = 1e-12
+_BLAND_AFTER = 50
 
 
 class LpConvergenceError(RuntimeError):
@@ -60,8 +68,15 @@ def simplex_standard_form(
 ) -> tuple[np.ndarray | None, float | None, np.ndarray | None, str]:
     """Solve min c.x subject to a @ x = b, x >= 0 by the two-phase tableau method.
 
-    Entering and leaving variables follow Bland's rule, so the iteration
-    cannot cycle.  Returns (x, objective, duals, status) with status one of
+    The entering column has the most negative reduced cost (Dantzig's rule,
+    ties to the lowest index).  The leaving row has the minimum ratio, ties
+    to the smallest basic index.  After _BLAND_AFTER consecutive degenerate
+    pivots the entering column becomes the lowest-index one with negative
+    reduced cost (Bland's rule) until a pivot moves the vertex again.  A
+    cycle revisits a basis without moving, so it consists of degenerate
+    pivots only; once _BLAND_AFTER of them have passed, the run is under
+    Bland's rule, which cannot cycle (Bland 1977), so the iteration
+    terminates.  Returns (x, objective, duals, status) with status one of
     "optimal", "infeasible", "unbounded"; duals are the equality multipliers
     of the optimal basis (x and duals are None unless optimal).
     """
@@ -79,37 +94,46 @@ def simplex_standard_form(
     tab[:mrows, :nvars] = a
     tab[:mrows, nvars:-1] = np.eye(mrows)
     tab[:mrows, -1] = b
-    basis = list(range(nvars, nvars + mrows))
+    basis = np.arange(nvars, nvars + mrows)
 
     def pivot(row: int, col: int) -> None:
         tab[row, :] /= tab[row, col]
         other = tab[:, col].copy()
         other[row] = 0.0
-        tab[:, :] -= np.outer(other, tab[row, :])
+        touched = np.flatnonzero(tab[row, :])
+        if 2 * touched.size < tab.shape[1]:
+            # Columns where the pivot row is zero would subtract exact zeros.
+            # The tall tableaux of _solve_primal_direct have pivot rows ~99%
+            # zero; gathering the rest costs less, in time and in memory,
+            # than the full outer product of the dense update.
+            tab[:, touched] -= np.outer(other, tab[row, touched])
+        else:
+            tab[:, :] -= np.outer(other, tab[row, :])
         basis[row] = col
 
     def run(eligible: int) -> str:
+        costs = tab[-1, :eligible]
+        rhs = tab[:mrows, -1]
+        degenerate = 0
         for _ in range(max_iter):
-            col = -1
-            for j in range(eligible):
-                if tab[-1, j] < -_COST_TOL:
-                    col = j
-                    break
-            if col < 0:
-                return "optimal"
-            row = -1
-            best = np.inf
-            for i in range(mrows):
-                coeff = tab[i, col]
-                if coeff > _PIVOT_TOL:
-                    ratio = tab[i, -1] / coeff
-                    if ratio < best - 1e-12 or (
-                        abs(ratio - best) <= 1e-12 and (row < 0 or basis[i] < basis[row])
-                    ):
-                        best = ratio
-                        row = i
-            if row < 0:
+            if degenerate < _BLAND_AFTER:
+                col = int(np.argmin(costs))
+                if costs[col] >= -_COST_TOL:
+                    return "optimal"
+            else:
+                improving = costs < -_COST_TOL
+                col = int(np.argmax(improving))
+                if not improving[col]:
+                    return "optimal"
+            column = tab[:mrows, col]
+            rows = np.flatnonzero(column > _PIVOT_TOL)
+            if rows.size == 0:
                 return "unbounded"
+            ratios = rhs[rows] / column[rows]
+            best = ratios.min()
+            tied = rows[ratios <= best + _RATIO_TOL]
+            row = int(tied[np.argmin(basis[tied])])
+            degenerate = degenerate + 1 if best <= _RATIO_TOL else 0
             pivot(row, col)
         raise LpInfeasibleError(f"simplex exceeded {max_iter} pivots")
 
@@ -342,26 +366,44 @@ def lp_problem(
     grid_size: int | None = None,
     coefficient_cap: float = DEFAULT_COEFFICIENT_CAP,
 ) -> LpProblem:
-    """Assemble the LP for one graph: exact moments plus a Chebyshev grid.
+    """Assemble the LP for one graph: exact moments plus a Chebyshev grid."""
+    if degree < 0 or degree % 2 or degree > MAX_LP_DEGREE:
+        raise ValueError(f"degree must be even in 0..{MAX_LP_DEGREE}, got {degree}")
+    scale = _bound_scale(g)
+    walks = trace_moments(g, degree)
+    return _sampled_problem(walks, scale, degree, direction, grid_size, coefficient_cap)
+
+
+def _bound_scale(g: Graph) -> float:
+    """The maximum degree D, which bounds every |eigenvalue|."""
+    st = degree_stats(g)
+    if st.max_degree < 1:
+        raise NoEdgesError("polynomial bounds need at least one edge")
+    return float(st.max_degree)
+
+
+def _sampled_problem(
+    walks: list[int],
+    scale: float,
+    degree: int,
+    direction: str,
+    grid_size: int | None,
+    coefficient_cap: float,
+) -> LpProblem:
+    """The LP from the walk counts Tr(A^0..A^degree) or longer, on a Chebyshev grid.
 
     Chebyshev-Lobatto nodes crowd the interval ends, where polynomial
     majorisers of |x| are hardest to pin down.
     """
-    if degree < 0 or degree % 2 or degree > MAX_LP_DEGREE:
-        raise ValueError(f"degree must be even in 0..{MAX_LP_DEGREE}, got {degree}")
-    st = degree_stats(g)
-    if st.max_degree < 1:
-        raise NoEdgesError("polynomial bounds need at least one edge")
     k = degree // 2
     npts = grid_size if grid_size is not None else max(128 * k, 33)
     if npts < max(2, 64 * k):
         raise ValueError(f"grid_size {npts} too small for degree {degree}")
-    scale = float(st.max_degree)
     i = np.arange(npts)
     grid = scale * (1.0 - np.cos(np.pi * i / (npts - 1))) / 2.0
     grid[0] = 0.0
     grid[-1] = scale
-    moments = tuple(trace_moments(g, degree)[0::2])
+    moments = tuple(walks[0 : degree + 1 : 2])
     return LpProblem(degree, moments, scale, tuple(float(x) for x in grid), direction, coefficient_cap)
 
 
@@ -558,9 +600,11 @@ def bound_sweep(
     """
     if max_degree < 2 or max_degree % 2 or max_degree > MAX_LP_DEGREE:
         raise ValueError(f"max degree must be even in 2..{MAX_LP_DEGREE}, got {max_degree}")
+    scale = _bound_scale(g)
+    walks = trace_moments(g, max_degree)
     entries: list[SweepEntry] = []
     for degree in range(2, max_degree + 1, 2):
-        above = lp_problem(g, degree, "above", coefficient_cap=coefficient_cap)
+        above = _sampled_problem(walks, scale, degree, "above", None, coefficient_cap)
         upper = solve_bound_lp(above)
         lower = solve_bound_lp(replace(above, direction="below"))
         if entries:

@@ -300,6 +300,18 @@ def test_sweep_edgeless_graph_fails_cleanly(capsys):
     assert "edge" in err
 
 
+def test_sweep_cycle9_to_degree_ten_is_certified(capsys):
+    # Bland's rule alone needed more than 50000 pivots for the degree-10 lower bound.
+    code, out, err = run_cli(["sweep", "--gen", "cycle:9", "--max-degree", "10"], capsys)
+    assert code == 0 and err == ""
+    header, rows = parse_csv(out)
+    assert [r[header.index("degree")] for r in rows] == ["2", "4", "6", "8", "10"]
+    for r in rows:
+        row = dict(zip(header, r))
+        assert row["upper_certified"] == "true" and row["lower_certified"] == "true"
+        assert float(row["lp_lower"]) <= float(row["energy"]) <= float(row["lp_upper"])
+
+
 def test_sweep_multiple_graphs_indexed(tmp_path, capsys):
     path = tmp_path / "two.g6"
     run_cli(["generate", "complete:3", "cycle:4", "--out", str(path)], capsys)
@@ -435,6 +447,47 @@ def test_sweep_gate_catches_a_lower_bound_above_the_energy(monkeypatch, capsys):
     assert code == 2
     assert "2 bound violation(s)" in err
     assert out.startswith("graph,label,")
+
+
+# ---------------------------------------------------------------------------
+# unwritable --out
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("computed before the output was opened")
+
+
+@pytest.mark.parametrize(
+    "argv, hook",
+    [
+        pytest.param(["analyze", "--gen", "petersen"], "analyze_graph", id="analyze"),
+        pytest.param(["sweep", "--gen", "petersen", "--max-degree", "4"], "bound_sweep", id="sweep"),
+        pytest.param(["generate", "petersen"], "generate_from_string", id="generate"),
+    ],
+)
+def test_unwritable_out_fails_before_any_work(argv, hook, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, hook, _must_not_run)
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"cannot write {target}: No such file or directory\n"
+
+
+def test_out_naming_a_directory_is_refused(tmp_path, capsys):
+    code, out, err = run_cli(["analyze", "--gen", "petersen", "--out", str(tmp_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"cannot write {tmp_path}:")
+
+
+def test_sweep_out_file_matches_stdout(tmp_path, capsys):
+    argv = ["sweep", "--gen", "cycle:5", "--max-degree", "4"]
+    _, expected, _ = run_cli(argv, capsys)
+    path = tmp_path / "sweep.csv"
+    code, out, _ = run_cli(argv + ["--out", str(path)], capsys)
+    assert code == 0 and out == ""
+    assert path.read_text() == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """LP bound optimiser: simplex core, problem assembly, and certified solves."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import menergy as me
+from menergy import polyopt
 from menergy.polyopt import (
     LpConvergenceError,
     LpInfeasibleError,
@@ -86,17 +88,42 @@ def test_simplex_degenerate_vertex_terminates():
     assert obj == pytest.approx(-1.0, abs=1e-9)
 
 
+def test_simplex_beale_cycling_lp():
+    # Beale's example, slacks x1..x3 then x4..x7.  Started from the slack
+    # basis, most-negative-cost pricing with smallest-index leaving returns
+    # to that basis after six degenerate pivots and cycles for ever.
+    a = [
+        [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+        [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+    ]
+    b = [0.0, 0.0, 1.0]
+    c = [0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0]
+    x, obj, duals, status = simplex_standard_form(a, b, c)
+    ref = linprog(c, A_eq=a, b_eq=b, bounds=[(0, None)] * 7, method="highs")
+    assert status == "optimal" and ref.status == 0
+    assert obj == pytest.approx(-1.25, abs=1e-12)
+    assert obj == pytest.approx(ref.fun, abs=1e-9)
+    assert np.allclose(np.array(a) @ x, b, atol=1e-12)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_simplex_matches_reference_solver(data):
-    m = data.draw(st.integers(1, 4))
-    n = data.draw(st.integers(1, 6))
+    # Sparse feasible points leave many right-hand sides at zero, so most
+    # vertices are degenerate; half the examples price by Bland's rule from
+    # the first pivot, the rest by Dantzig's rule with the fallback.
+    m = data.draw(st.integers(1, 8))
+    n = data.draw(st.integers(1, 16))
     ints = st.integers(-3, 3)
     a = np.array(data.draw(st.lists(st.lists(ints, min_size=n, max_size=n), min_size=m, max_size=m)), float)
-    x0 = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), float)
+    levels = st.sampled_from([0, 0, 0, 0, 1, 2, 3])
+    x0 = np.array(data.draw(st.lists(levels, min_size=n, max_size=n)), float)
     b = a @ x0  # feasible by construction
     c = np.array(data.draw(st.lists(ints, min_size=n, max_size=n)), float)
-    x, obj, duals, status = simplex_standard_form(a, b, c)
+    bland_after = 0 if data.draw(st.booleans()) else polyopt._BLAND_AFTER
+    with mock.patch.object(polyopt, "_BLAND_AFTER", bland_after):
+        x, obj, duals, status = simplex_standard_form(a, b, c)
     ref = linprog(c, A_eq=a, b_eq=b, bounds=[(0, None)] * n, method="highs")
     if status == "optimal":
         assert ref.status == 0
@@ -346,3 +373,33 @@ def test_sweep_rejects_bad_max_degree():
     for bad in (0, 3, 18):
         with pytest.raises(ValueError):
             me.bound_sweep(g, bad)
+
+
+def test_sweep_computes_moments_once(monkeypatch):
+    g = corpus_graph("petersen")
+    calls, problems = [], []
+    real_moments, real_solve = polyopt.trace_moments, polyopt.solve_bound_lp
+    monkeypatch.setattr(polyopt, "trace_moments", lambda g, k: calls.append(k) or real_moments(g, k))
+    monkeypatch.setattr(polyopt, "solve_bound_lp", lambda p: problems.append(p) or real_solve(p))
+    me.bound_sweep(g, 8)
+    monkeypatch.undo()
+    assert calls == [8]
+    # Each sliced problem equals the one lp_problem builds from its own moments.
+    assert [(p.degree, p.direction) for p in problems] == [
+        (d, side) for d in (2, 4, 6, 8) for side in ("above", "below")
+    ]
+    assert problems == [lp_problem(g, p.degree, p.direction) for p in problems]
+
+
+def test_sweep_to_degree_sixteen_on_petersen():
+    # Bland's rule alone needed minutes per solve from degree 12 on.
+    entries = me.bound_sweep(corpus_graph("petersen"), 16)
+    assert [e.degree for e in entries] == list(range(2, 17, 2))
+    for e in entries:
+        assert e.upper.certified and e.lower.certified
+        assert e.lower.objective - 1e-6 <= 16.0 <= e.upper.objective + 1e-6
+    for prev, cur in zip(entries, entries[1:]):
+        assert cur.upper.objective <= prev.upper.objective
+        assert cur.lower.objective >= prev.lower.objective
+    assert entries[-1].upper.objective == pytest.approx(16.0, rel=1e-6)
+    assert entries[-1].lower.objective == pytest.approx(16.0, rel=1e-6)
