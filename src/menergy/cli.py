@@ -11,9 +11,9 @@ Output ordering and float formatting (12 significant digits) are fixed, so
 identical input produces byte-identical CSV.
 
 Exit codes: 0 on success, 1 on unreadable or oversized input (diagnostics name
-the line or file) or an unwritable --out (opened before any work), 2 when
---fail-on-violation is set and a bound crosses the exact energy by more than
-the soundness slack.
+the line or file) or an unwritable --out (opened before any work, and left
+as it was when the run fails), 2 when --fail-on-violation is set and a bound
+crosses the exact energy by more than the soundness slack.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import nullcontext
 from functools import partial
@@ -120,7 +121,17 @@ def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
             raise InputError(f"line {lineno}: {err}") from err
 
 
+def _rewind(sink: TextIO) -> None:
+    """Empty an --out file, which is opened for appending so that it survives failed runs.
+
+    Devices such as /dev/null cannot be truncated and need not be.
+    """
+    if sink is not sys.stdout and os.path.isfile(sink.name):
+        sink.truncate(0)
+
+
 def _emit(rows: list[dict], columns: tuple[str, ...], fmt: str, sink: TextIO) -> None:
+    _rewind(sink)
     if fmt == "json":
         sink.write(json.dumps([{k: row[k] for k in columns} for row in rows], indent=2) + "\n")
         return
@@ -220,6 +231,7 @@ def cmd_generate(args: argparse.Namespace, sink: TextIO) -> int:
     except (FamilyError, Graph6Error) as err:
         print(str(err), file=sys.stderr)
         return 1
+    _rewind(sink)
     sink.write("".join(line + "\n" for line in lines))
     return 0
 
@@ -267,8 +279,10 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 1
     # Open --out before any work, so an unwritable path costs no computation.
+    # Appending leaves an existing file whole until the output is ready, which
+    # also keeps --out FILE readable as --in FILE.
     try:
-        sink = open(args.out, "w", encoding="ascii", newline="") if args.out else None
+        sink = open(args.out, "a", encoding="ascii", newline="") if args.out else None
     except OSError as err:
         print(f"cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
         return 1

@@ -48,9 +48,9 @@ _FEAS_TOL = 1e-8
 _PIVOT_TOL = 1e-11
 _COST_TOL = 1e-9
 # Ratios within _RATIO_TOL of the minimum tie in the ratio test, and a pivot
-# whose minimum ratio is at most _RATIO_TOL is degenerate: the vertex stays.
+# that lowers the objective by at most _RATIO_TOL relative is degenerate.
 # After _BLAND_AFTER degenerate pivots in a row, pricing switches to Bland's
-# rule until the next pivot that moves.
+# rule until the next pivot that lowers the objective.
 _RATIO_TOL = 1e-12
 _BLAND_AFTER = 50
 
@@ -72,13 +72,15 @@ def simplex_standard_form(
     ties to the lowest index).  The leaving row has the minimum ratio, ties
     to the smallest basic index.  After _BLAND_AFTER consecutive degenerate
     pivots the entering column becomes the lowest-index one with negative
-    reduced cost (Bland's rule) until a pivot moves the vertex again.  A
-    cycle revisits a basis without moving, so it consists of degenerate
-    pivots only; once _BLAND_AFTER of them have passed, the run is under
-    Bland's rule, which cannot cycle (Bland 1977), so the iteration
-    terminates.  Returns (x, objective, duals, status) with status one of
-    "optimal", "infeasible", "unbounded"; duals are the equality multipliers
-    of the optimal basis (x and duals are None unless optimal).
+    reduced cost (Bland's rule) until a pivot lowers the objective again.
+    No pivot raises the objective, so a cycle, which comes back to its
+    starting basis, is made of pivots that leave the objective where it was;
+    all count as degenerate, so once _BLAND_AFTER of them have passed the
+    run is under Bland's rule, which cannot cycle (Bland 1977).  That
+    argument holds in exact arithmetic; in floating point max_iter still
+    bounds the run.  Returns (x, objective, duals, status) with status one
+    of "optimal", "infeasible", "unbounded"; duals are the equality
+    multipliers of the optimal basis (x and duals are None unless optimal).
     """
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
@@ -100,15 +102,7 @@ def simplex_standard_form(
         tab[row, :] /= tab[row, col]
         other = tab[:, col].copy()
         other[row] = 0.0
-        touched = np.flatnonzero(tab[row, :])
-        if 2 * touched.size < tab.shape[1]:
-            # Columns where the pivot row is zero would subtract exact zeros.
-            # The tall tableaux of _solve_primal_direct have pivot rows ~99%
-            # zero; gathering the rest costs less, in time and in memory,
-            # than the full outer product of the dense update.
-            tab[:, touched] -= np.outer(other, tab[row, touched])
-        else:
-            tab[:, :] -= np.outer(other, tab[row, :])
+        tab[:, :] -= np.outer(other, tab[row, :])
         basis[row] = col
 
     def run(eligible: int) -> str:
@@ -133,8 +127,11 @@ def simplex_standard_form(
             best = ratios.min()
             tied = rows[ratios <= best + _RATIO_TOL]
             row = int(tied[np.argmin(basis[tied])])
-            degenerate = degenerate + 1 if best <= _RATIO_TOL else 0
+            before = tab[-1, -1]
             pivot(row, col)
+            # The cell holds minus the objective, so a pivot that moves raises it.
+            moved = tab[-1, -1] - before > _RATIO_TOL * max(1.0, abs(before))
+            degenerate = 0 if moved else degenerate + 1
         raise LpInfeasibleError(f"simplex exceeded {max_iter} pivots")
 
     # Phase 1: minimise the artificial sum starting from the identity basis.

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -450,7 +451,7 @@ def test_sweep_gate_catches_a_lower_bound_above_the_energy(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# unwritable --out
+# --out handling
 
 
 def _must_not_run(*args, **kwargs):
@@ -488,6 +489,48 @@ def test_sweep_out_file_matches_stdout(tmp_path, capsys):
     code, out, _ = run_cli(argv + ["--out", str(path)], capsys)
     assert code == 0 and out == ""
     assert path.read_text() == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["analyze", "--gen", "nosuch:3"], id="analyze-bad-spec"),
+        pytest.param(["analyze", "--in", "MISSING"], id="analyze-missing-input"),
+        pytest.param(["sweep", "--gen", "complete:1", "--max-degree", "4"], id="sweep-edgeless"),
+        pytest.param(["generate", "petersen", "nosuch:3"], id="generate-bad-spec"),
+    ],
+)
+def test_failed_run_leaves_existing_out_whole(argv, tmp_path, capsys):
+    path = tmp_path / "results.csv"
+    path.write_text("earlier results\n")
+    argv = [str(tmp_path / a) if a == "MISSING" else a for a in argv]
+    code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+    assert code == 1 and out == "" and err
+    assert path.read_text() == "earlier results\n"
+
+
+def test_out_may_name_the_input_file(tmp_path, capsys):
+    path = tmp_path / "graphs.g6"
+    run_cli(["generate", "petersen", "cycle:5", "--out", str(path)], capsys)
+    _, expected, _ = run_cli(["analyze", "--in", str(path)], capsys)
+    code, out, err = run_cli(["analyze", "--in", str(path), "--out", str(path)], capsys)
+    assert code == 0 and out == "" and err == ""
+    assert path.read_text() == expected
+    assert len(parse_csv(expected)[1]) == 2
+
+
+@pytest.mark.parametrize("command", [["analyze", "--gen", "petersen"], ["generate", "petersen"]])
+def test_out_may_name_a_device(command, capsys):
+    code, out, err = run_cli(command + ["--out", os.devnull], capsys)
+    assert code == 0 and out == "" and err == ""
+
+
+def test_out_replaces_a_longer_file(tmp_path, capsys):
+    path = tmp_path / "k2.g6"
+    path.write_text("x" * 1000 + "\n")
+    code, _, _ = run_cli(["generate", "complete:2", "--out", str(path)], capsys)
+    assert code == 0
+    assert path.read_text() == "A_\n"
 
 
 # ---------------------------------------------------------------------------
