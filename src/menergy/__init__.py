@@ -3,8 +3,8 @@
 The library computes the energy of a simple graph (the sum of absolute
 adjacency eigenvalues) exactly from the LAPACK spectrum, bounds it from the
 walk counts n, M2, M4 through an optimal tangent quartic with a closed form,
-classifies the graphs attaining the bound, and optimises bounds of higher
-polynomial degree with a small LP.
+classifies the graphs attaining the bound, and reads the optimal bounds of
+higher even degree off quadrature rules of the moments.
 """
 
 from .extremal import (
@@ -59,7 +59,6 @@ from .moments import (
     scaled_moments,
 )
 from .polyopt import (
-    LpConvergenceError,
     LpInfeasibleError,
     LpProblem,
     LpSolution,

@@ -15,6 +15,9 @@ from .graphs import Graph
 
 HEADER = ">>graph6<<"
 MAX_VERTICES = 258047  # largest n encodable in the 3-byte size field
+# What bytes.strip() removes around a line, as networkx's read_graph6 does;
+# str.strip() would also drop the separators 0x1c-0x1f and hide a corrupt byte.
+WHITESPACE = " \t\n\r\x0b\x0c"
 
 
 class Graph6Error(ValueError):
@@ -23,7 +26,7 @@ class Graph6Error(ValueError):
 
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 string (an optional header is tolerated)."""
-    s = line.strip()
+    s = line.strip(WHITESPACE)
     if s.startswith(">>"):
         if not s.startswith(HEADER):
             raise Graph6Error(f"bad header: expected {HEADER!r}")

@@ -98,10 +98,10 @@ def parse_edge_list(text: str) -> Graph:
 
     The first non-empty line is ``n <count>``; every following non-empty line
     is an edge ``i j`` with 0-based endpoints.  Duplicate edges collapse.
-    Diagnostics name the 1-based line number.
+    Lines end at ``\n`` only.  Diagnostics name the 1-based line number.
     """
     numbered = [
-        (idx, ln.strip()) for idx, ln in enumerate(text.splitlines(), start=1) if ln.strip()
+        (idx, ln.strip()) for idx, ln in enumerate(text.split("\n"), start=1) if ln.strip()
     ]
     if not numbered:
         raise GraphError("empty edge-list input")

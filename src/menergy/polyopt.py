@@ -1,27 +1,24 @@
-"""LP optimisation of even-polynomial energy bounds of arbitrary even degree.
+"""Certified even-polynomial energy bounds of every even degree, by moment quadrature.
 
-An even polynomial P majorising |x| on [0, D] gives the energy bound
-sum_j c[2j] * M[2j]; minorising gives a lower bound.  Both are linear
-programs in the coefficients once the majorisation constraint is sampled on
-a finite grid.  Everything is solved in dimensionless form: with u = x / D
-and y[j] = c[2j] * D^(2j - 1), the constraints become sum_j y[j] u^(2j) >= u
-on [0, 1] and the objective sum_j y[j] nu[j] with nu[j] = M[2j] / D^(2j-1).
+An even P >= |x| on [0, D] bounds the energy by sum_j c[2j] * M[2j] (P <= |x|
+gives a lower bound).  In u = x^2 / D^2 the best P of degree 2k interpolates
+sqrt(u) at the nodes of a principal representation of M0, M2, ..., M2k
+(Markov-Krein theory), a quadrature rule of the spectral measure mu:
 
-Grid sampling alone can let the optimum dip below |x| between nodes, so
-solutions are re-verified on the continuous interval and worst violators are
-added as cutting planes until the check passes; only then is a solution
-certified.
+- k odd: upper bound Gauss ((k+1)/2 nodes), lower bound Lobatto (0, 1 and
+  (k-1)/2 interior nodes);
+- k even: upper bound right Radau (1 and k/2 interior nodes), lower bound
+  left Radau (0 and k/2 interior nodes).
 
-The solver is a dense two-phase tableau simplex.  It prices by Dantzig's
-rule and falls back on Bland's rule during long runs of degenerate pivots,
-the only place where the simplex can cycle.  The coefficient problem has few
-variables but many constraints, so it is solved through its dual (one
-variable per sampled point, one equation per coefficient) and the primal
-coefficients are read off the equality multipliers at optimality.
-Tangential contact with |x| makes the refined vertices ill-conditioned, so
-recovery failures fall back to a direct primal solve, and rounds that still
-miss certification keep a constant-shifted certified copy as the answer of
-last resort.
+Interior nodes are the Gauss nodes of mu, u mu, (1-u) mu or u(1-u) mu, whose
+moments in t = x^2 units are integers.  Fraction-free elimination decides the
+rank of their Hankel matrix exactly; a singular one (moments on the boundary
+of the moment space, where the bound is the energy) gives fewer nodes.  The
+certificate is the Hermite interpolant of sqrt: value and slope at interior
+nodes, value only at 0 and 1.  The derivatives of sqrt alternate in sign, so
+the Hermite remainder puts it on the required side of sqrt; it is re-verified
+on the continuous interval all the same.  An upper-bound node at exactly 0
+(an infimum no polynomial attains, as on cycle:4) moves to NODE_FLOOR.
 """
 
 from __future__ import annotations
@@ -32,56 +29,35 @@ import numpy as np
 
 from .graphs import Graph
 from .moments import NoEdgesError, degree_stats
-from .quartic import (
-    EvenPolynomial,
-    MajorizationCheck,
-    verify_majorization,
-    violation_minima,
-)
+from .quartic import EvenPolynomial, verify_majorization
+from .quartic import violation_minima  # noqa: F401  (unused; a benchmark tracer hooks this name)
 from .spectral import trace_moments
 
-MAX_CUT_ROUNDS = 50
 MAX_LP_DEGREE = 16
-DEFAULT_COEFFICIENT_CAP = 1e6
+# Interior nodes below this u move up to it: a node at 0 needs an infinite slope.
+NODE_FLOOR = 1e-12
 
 _FEAS_TOL = 1e-8
 _PIVOT_TOL = 1e-11
 _COST_TOL = 1e-9
-# Ratios within _RATIO_TOL of the minimum tie in the ratio test, and a pivot
-# that lowers the objective by at most _RATIO_TOL relative is degenerate.
-# After _BLAND_AFTER degenerate pivots in a row, pricing switches to Bland's
-# rule until the next pivot that lowers the objective.
+# Ratios within _RATIO_TOL of the minimum tie; a pivot lowering the objective by
+# at most _RATIO_TOL relative is degenerate.
 _RATIO_TOL = 1e-12
 _BLAND_AFTER = 50
 
 
-class LpConvergenceError(RuntimeError):
-    """Cutting-plane rounds were exhausted without a certified solution."""
-
-
 class LpInfeasibleError(RuntimeError):
-    """The LP reported infeasible or unbounded; valid inputs cannot do this."""
+    """simplex_standard_form exceeded its pivot budget."""
 
 
+# Unused by the bounds; kept, with its tests, because a benchmark tracer hooks this name.
 def simplex_standard_form(
     a, b, c, max_iter: int = 50000
 ) -> tuple[np.ndarray | None, float | None, np.ndarray | None, str]:
-    """Solve min c.x subject to a @ x = b, x >= 0 by the two-phase tableau method.
-
-    The entering column has the most negative reduced cost (Dantzig's rule,
-    ties to the lowest index).  The leaving row has the minimum ratio, ties
-    to the smallest basic index.  After _BLAND_AFTER consecutive degenerate
-    pivots the entering column becomes the lowest-index one with negative
-    reduced cost (Bland's rule) until a pivot lowers the objective again.
-    No pivot raises the objective, so a cycle, which comes back to its
-    starting basis, is made of pivots that leave the objective where it was;
-    all count as degenerate, so once _BLAND_AFTER of them have passed the
-    run is under Bland's rule, which cannot cycle (Bland 1977).  That
-    argument holds in exact arithmetic; in floating point max_iter still
-    bounds the run.  Returns (x, objective, duals, status) with status one
-    of "optimal", "infeasible", "unbounded"; duals are the equality
-    multipliers of the optimal basis (x and duals are None unless optimal).
-    """
+    """Solve min c.x s.t. a @ x = b, x >= 0: two-phase tableau, Dantzig pricing,
+    Bland's rule after _BLAND_AFTER degenerate pivots.  Returns (x, objective,
+    duals, status), status "optimal", "infeasible" or "unbounded"; x and the
+    equality multipliers duals are None unless optimal."""
     a = np.array(a, dtype=float)
     b = np.array(b, dtype=float)
     c = np.array(c, dtype=float)
@@ -170,153 +146,16 @@ def simplex_standard_form(
     return x, objective, duals, "optimal"
 
 
-def _minimize_over_halfplanes(
-    cost: np.ndarray, gmat: np.ndarray, h: np.ndarray
-) -> tuple[np.ndarray | None, float]:
-    """min cost.y over {y : gmat @ y >= h} with y free.
-
-    Solved through the dual max h.p s.t. gmat.T @ p = cost, p >= 0, which is
-    already in standard form; the primal y comes back as the negated equality
-    multipliers.  Requires the primal to be feasible and bounded, which the
-    polynomial problems guarantee by construction.
-
-    When the optimal face has several vertices this returns an arbitrary one;
-    use _minimal_norm_refit afterwards if a small solution matters.  At
-    vertices too degenerate for any recovery the point comes back as None
-    while the optimal value, which the tableau gets right regardless, is
-    still returned.
-    """
-    cost = np.asarray(cost, float)
-    gmat = np.asarray(gmat, float)
-    h = np.asarray(h, float)
-    # Equilibrate before building the tableau.  Rescaling a primal inequality
-    # row leaves the feasible set alone, and rescaling the cost only rescales
-    # the dual vertex, so y is unchanged either way; without this the
-    # coefficient-cap rows (|h| ~ cap) drown the fixed pivot tolerances.
-    row_scale = np.maximum(np.abs(gmat).max(axis=1), np.abs(h))
-    row_scale = np.maximum(row_scale, 1e-12)
-    cost_scale = max(1.0, float(np.abs(cost).max()))
-    gs = gmat / row_scale[:, None]
-    hs = h / row_scale
-    p, obj, duals, status = simplex_standard_form(gs.T, cost / cost_scale, -hs)
-    if status != "optimal":
-        return _solve_primal_direct(cost, gmat, h)
-    y = -duals
-    value = -obj * cost_scale
-    if _relative_residual(gmat, h, y) < -1e-6 or abs(float(cost @ y) - value) > 1e-6 * max(
-        1.0, abs(value)
-    ):
-        # Degenerate bases can scramble multiplier recovery; rebuild y from
-        # the constraints the dual marks as tight.
-        tight = p > 1e-9
-        if np.count_nonzero(tight) >= len(y):
-            sol, *_ = np.linalg.lstsq(gs[tight], hs[tight], rcond=None)
-            y = sol
-        if _relative_residual(gmat, h, y) < -1e-6:
-            # Clustered touch points make the optimal vertex itself
-            # ill-conditioned; no recovery from the dual basis can work then.
-            direct, direct_value = _solve_primal_direct(cost, gmat, h)
-            return direct, (value if direct is None else direct_value)
-        value = float(cost @ y)
-    return y, value
-
-
-def _solve_primal_direct(
-    cost: np.ndarray, gmat: np.ndarray, h: np.ndarray
-) -> tuple[np.ndarray | None, float]:
-    """min cost.y over {y : gmat @ y >= h}, solved without the dual detour.
-
-    Splits y into positive and negative parts and adds one slack and one
-    artificial per row, so it is the slow route; but y is a tableau variable
-    here, not a multiplier, which keeps it usable at degenerate vertices.
-    The point still comes back None when even the direct tableau drifts.
-    """
-    nvars = gmat.shape[1]
-    nrows = gmat.shape[0]
-    row_scale = np.maximum(np.abs(gmat).max(axis=1), np.abs(h))
-    row_scale = np.maximum(row_scale, 1e-12)
-    cost_scale = max(1.0, float(np.abs(cost).max()))
-    gs = gmat / row_scale[:, None]
-    hs = h / row_scale
-    a = np.hstack([gs, -gs, -np.eye(nrows)])
-    c_lp = np.concatenate([cost, -cost, np.zeros(nrows)]) / cost_scale
-    x, obj, _, status = simplex_standard_form(a, hs, c_lp)
-    if status == "infeasible":
-        raise LpInfeasibleError(
-            "no polynomial satisfies the constraints; the coefficient cap is too tight"
-        )
-    if status != "optimal":
-        raise LpInfeasibleError(f"bound LP solve returned {status}; valid inputs cannot do this")
-    y = x[:nvars] - x[nvars : 2 * nvars]
-    value = float(cost @ y)
-    if _relative_residual(gmat, h, y) < -1e-6:
-        return None, obj * cost_scale
-    return y, value
-
-
-def _relative_residual(gmat: np.ndarray, h: np.ndarray, y: np.ndarray) -> float:
-    """Worst constraint violation of gmat @ y >= h, scaled per row."""
-    return float(np.min((gmat @ y - h) / np.maximum(1.0, np.abs(h))))
-
-
-def _minimal_norm_refit(
-    cost: np.ndarray, gmat: np.ndarray, h: np.ndarray, value: float
-) -> np.ndarray | None:
-    """Smallest-coefficient point of the near-optimal slab {cost.y <= value + eps}.
-
-    The bound LPs often have whole optimal faces, and vertices on the
-    coefficient cap evaluate with catastrophic cancellation between grid
-    nodes.  Re-minimising sum |y_j| subject to near-optimality lands on the
-    tame vertex instead.  Returns None if no refit satisfies the constraints.
-    """
-    nvars = gmat.shape[1]
-    eye = np.eye(nvars)
-    cost = np.asarray(cost, float)
-    stacked = np.vstack(
-        [
-            np.hstack([gmat, np.zeros_like(gmat)]),
-            np.hstack([-cost[None, :], np.zeros((1, nvars))]),
-            np.hstack([-eye, eye]),
-            np.hstack([eye, eye]),
-        ]
-    )
-    norm_cost = np.concatenate([np.zeros(nvars), np.ones(nvars)])
-    eps = 1e-8 * (1.0 + abs(value))
-    for _ in range(4):
-        rhs = np.concatenate([h, [-(value + eps)], np.zeros(2 * nvars)])
-        try:
-            z, _ = _minimize_over_halfplanes(norm_cost, stacked, rhs)
-        except LpInfeasibleError:
-            eps *= 100.0
-            continue
-        if z is None:
-            eps *= 100.0
-            continue
-        y = z[:nvars]
-        if _relative_residual(gmat, h, y) >= -1e-7:
-            return y
-        eps *= 100.0
-    return None
-
-
 @dataclass(frozen=True)
 class LpProblem:
-    """A sampled even-polynomial bound problem.
-
-    moments holds the exact even walk counts (M0, M2, ..., M_degree); grid is
-    the constraint sample in [0, scale] including both endpoints; direction
-    "above" asks for a majoriser (upper bound, minimised), "below" for a
-    minoriser (lower bound, maximised).  coefficient_cap bounds
-    |c[2j]| * scale^(2j) to keep the problem finite when the true optimum
-    runs away (the cap binding is reported, not hidden).
-    """
+    """One bound problem: the exact even walk counts M0, M2, ..., M_degree, the
+    scale D >= every |eigenvalue|, and direction "above" (a majoriser, upper
+    bound) or "below" (a minoriser, lower bound)."""
 
     degree: int
     moments: tuple[int, ...]
     scale: float
-    grid: tuple[float, ...]
     direction: str
-    coefficient_cap: float = DEFAULT_COEFFICIENT_CAP
 
     def __post_init__(self) -> None:
         if self.degree < 0 or self.degree % 2 or self.degree > MAX_LP_DEGREE:
@@ -330,24 +169,12 @@ class LpProblem:
             raise ValueError(f"scale must be positive, got {self.scale}")
         if self.direction not in ("above", "below"):
             raise ValueError(f"direction must be 'above' or 'below', got {self.direction!r}")
-        if len(self.grid) < max(2, 64 * k):
-            raise ValueError(f"grid too small: {len(self.grid)} points for degree {self.degree}")
-        if self.grid[0] != 0.0 or abs(self.grid[-1] - self.scale) > 1e-12 * self.scale:
-            raise ValueError("grid must run from 0 to scale inclusive")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("grid must be strictly increasing")
-        if not self.coefficient_cap > 0:
-            raise ValueError("coefficient cap must be positive")
 
 
 @dataclass(frozen=True)
 class LpSolution:
-    """A certified solution: the polynomial, its moment contraction, and status.
-
-    status "capped" flags that a coefficient magnitude cap was active, so the
-    objective is conservative rather than optimal over all polynomials.
-    certified is True only after the continuous majorisation re-check passed.
-    """
+    """A bound polynomial and its moment contraction; certified only if the
+    continuous majorisation re-check passed.  rounds is always one solve."""
 
     polynomial: EvenPolynomial
     objective: float
@@ -356,19 +183,12 @@ class LpSolution:
     rounds: int
 
 
-def lp_problem(
-    g: Graph,
-    degree: int,
-    direction: str,
-    grid_size: int | None = None,
-    coefficient_cap: float = DEFAULT_COEFFICIENT_CAP,
-) -> LpProblem:
-    """Assemble the LP for one graph: exact moments plus a Chebyshev grid."""
+def lp_problem(g: Graph, degree: int, direction: str) -> LpProblem:
+    """Assemble the bound problem for one graph from its exact moments."""
     if degree < 0 or degree % 2 or degree > MAX_LP_DEGREE:
         raise ValueError(f"degree must be even in 0..{MAX_LP_DEGREE}, got {degree}")
-    scale = _bound_scale(g)
     walks = trace_moments(g, degree)
-    return _sampled_problem(walks, scale, degree, direction, grid_size, coefficient_cap)
+    return LpProblem(degree, tuple(walks[0 : degree + 1 : 2]), _bound_scale(g), direction)
 
 
 def _bound_scale(g: Graph) -> float:
@@ -379,203 +199,92 @@ def _bound_scale(g: Graph) -> float:
     return float(st.max_degree)
 
 
-def _sampled_problem(
-    walks: list[int],
-    scale: float,
-    degree: int,
-    direction: str,
-    grid_size: int | None,
-    coefficient_cap: float,
-) -> LpProblem:
-    """The LP from the walk counts Tr(A^0..A^degree) or longer, on a Chebyshev grid.
+def _gauss_nodes(moments: list[int]) -> np.ndarray:
+    """Gauss nodes, at most m of them, of a measure from its first 2m integer moments.
 
-    Chebyshev-Lobatto nodes crowd the interval ends, where polynomial
-    majorisers of |x| are hardest to pin down.
+    Bareiss elimination on the m-by-(m+1) Hankel matrix leaves the leading
+    minors Delta_j on the diagonal.  A measure with r atoms has Delta_j > 0 for
+    j <= r and 0 beyond, so the first zero pivot gives the exact rank.  The
+    Jacobi matrix (Golub-Welsch in LDL^T form) has alpha_j = a[j][j+1] /
+    Delta_{j+1} - a[j-1][j] / Delta_j and beta_j^2 = Delta_j Delta_{j+2} /
+    Delta_{j+1}^2, each rounded once.
     """
-    k = degree // 2
-    npts = grid_size if grid_size is not None else max(128 * k, 33)
-    if npts < max(2, 64 * k):
-        raise ValueError(f"grid_size {npts} too small for degree {degree}")
-    i = np.arange(npts)
-    grid = scale * (1.0 - np.cos(np.pi * i / (npts - 1))) / 2.0
-    grid[0] = 0.0
-    grid[-1] = scale
-    moments = tuple(walks[0 : degree + 1 : 2])
-    return LpProblem(degree, moments, scale, tuple(float(x) for x in grid), direction, coefficient_cap)
+    m = len(moments) // 2
+    a = [[moments[i + j] for j in range(m + 1)] for i in range(m)]
+    minors = [1]
+    for j in range(m):
+        pivot = a[j][j]
+        if pivot == 0:
+            break
+        for i in range(j + 1, m):
+            for col in range(j + 1, m + 1):
+                a[i][col] = (pivot * a[i][col] - a[i][j] * a[j][col]) // minors[-1]
+        minors.append(pivot)
+    r = len(minors) - 1
+    alpha = [a[0][1] / minors[1]] if r else []
+    for j in range(1, r):
+        num = a[j][j + 1] * minors[j] - a[j - 1][j] * minors[j + 1]
+        alpha.append(num / (minors[j + 1] * minors[j]))
+    beta = [np.sqrt(minors[j] * minors[j + 2] / minors[j + 1] ** 2) for j in range(r - 1)]
+    return np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
 
 
-def _even_cheb_to_monomial(k: int) -> np.ndarray:
-    """Matrix sending even-Chebyshev coefficients to even monomial coefficients.
+def _principal_nodes(problem: LpProblem) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Interior nodes in u, and the fixed end nodes, of the extremal rule."""
+    mom = [int(m) for m in problem.moments]
+    k = len(mom) - 1
+    # T = scale^2 = num / den exactly; the weights T - t are scaled by den.
+    num, den = (v * v for v in float(problem.scale).as_integer_ratio())
+    above = problem.direction == "above"
+    if k % 2 and above:  # Gauss
+        weighted, ends = mom, ()
+    elif k % 2:  # Lobatto: t (T - t) mu
+        weighted, ends = [num * mom[j + 1] - den * mom[j + 2] for j in range(k - 1)], (0.0, 1.0)
+    elif above:  # right Radau: (T - t) mu
+        weighted, ends = [num * mom[j] - den * mom[j + 1] for j in range(k)], (1.0,)
+    else:  # left Radau: t mu
+        weighted, ends = mom[1:], (0.0,)
+    nodes = _gauss_nodes(weighted) / problem.scale**2
+    return np.maximum(nodes, NODE_FLOOR), ends
 
-    Column j holds the coefficients of u^0, u^2, ..., u^2k in T_{2j}(u).  The
-    entries are exact small integers, so the change of basis is lossless.
-    """
-    basis = np.zeros((k + 1, k + 1))
-    for j in range(k + 1):
-        e = np.zeros(2 * j + 1)
-        e[2 * j] = 1.0
-        mono = np.polynomial.chebyshev.cheb2poly(e)
-        basis[: j + 1, j] = mono[::2]
-    return basis
+
+def _sqrt_interpolant(nodes: np.ndarray, ends: tuple[float, ...], k: int) -> np.ndarray:
+    """Monomial coefficients, padded to degree k, of the Hermite interpolant of sqrt:
+    value and slope at each node, value only at each end.  The Newton form on
+    ascending points keeps the low coefficients accurate next to a slope of 5e5
+    at NODE_FLOOR, where a Chebyshev-basis solve lost 1e-8 (star:9, degree 6)."""
+    z = np.sort(np.concatenate([ends, nodes, nodes]))
+    diffs = np.sqrt(z)
+    newton = [diffs[0]]
+    for order in range(1, len(z)):
+        gap = z[order:] - z[:-order]
+        # Only a node and its copy coincide; their divided difference is the slope.
+        diffs = np.divide(np.diff(diffs), gap, out=0.5 / np.sqrt(z[order:]), where=gap > 0)
+        newton.append(diffs[0])
+    y = np.zeros(k + 1)
+    y[0] = newton[-1]
+    for i in range(len(z) - 2, -1, -1):
+        y[1:] = y[:-1] - z[i] * y[1:]
+        y[0] = newton[i] - z[i] * y[0]
+    return y
 
 
 def solve_bound_lp(problem: LpProblem) -> LpSolution:
-    """Optimise the bound over even polynomials of the given degree.
-
-    Runs the cutting-plane loop: solve on the current sample, re-verify the
-    polynomial on the continuous interval, and append the violating dips as
-    new constraints until certification or the round cap.  The simplex works
-    in the even-Chebyshev basis, whose constraint entries stay in [-1, 1]
-    where the plain power basis is numerically hopeless from degree 12 or so.
-    """
+    """The optimal bound over even polynomials of the given degree, re-verified."""
     k = problem.degree // 2
-    scale = problem.scale
-    nu = np.array([problem.moments[j] / scale ** (2 * j - 1) for j in range(k + 1)])
-    cap = problem.coefficient_cap / scale
-    upoints = sorted(x / scale for x in problem.grid)
-    above = problem.direction == "above"
-    cheb = _even_cheb_to_monomial(k)
-    box = np.vstack([cheb, -cheb])
-    box_rhs = np.full(2 * (k + 1), -cap)
-    if k >= 2:
-        # The quartic theory says the binding contact sits at
-        # sqrt((nu1 - nu2) / (nu0 - nu1)) when that is interior; seeding it
-        # spares the cutting loop the first few rounds.
-        gap_low = nu[1] - nu[2]
-        gap_high = nu[0] - nu[1]
-        if gap_high > 0.0 and 0.0 < gap_low < gap_high:
-            seed = float(np.sqrt(gap_low / gap_high))
-            if all(abs(seed - x) > 1e-12 for x in upoints):
-                upoints.append(seed)
-                upoints.sort()
-
-    best: LpSolution | None = None
-    for round_no in range(1, MAX_CUT_ROUNDS + 1):
-        upoints = _dedupe_grid(upoints)
-        u = np.array(upoints)
-        tvals = np.polynomial.chebyshev.chebvander(u, 2 * k)[:, ::2]
-        if above:
-            gmat = np.vstack([tvals, box])
-            h = np.concatenate([u, box_rhs])
-            cost = cheb.T @ nu
-        else:
-            gmat = np.vstack([-tvals, box])
-            h = np.concatenate([-u, box_rhs])
-            cost = -(cheb.T @ nu)
-        try:
-            z, raw = _minimize_over_halfplanes(cost, gmat, h)
-            refit = _minimal_norm_refit(cost, gmat, h, raw)
-        except LpInfeasibleError:
-            # On the pristine first grid this is real (a coefficient cap too
-            # tight to reach |x|), so report it.  After cut refinement the
-            # clustered rows can wreck the tableau numerically; then fall
-            # back on the best certified polynomial collected so far.
-            if round_no == 1:
-                raise
-            break
-        if refit is not None:
-            z = refit
-        if z is None:
-            # The optimal value is known but no usable point survived; the
-            # certified candidates gathered so far are all there is.
-            break
-        y = cheb @ z
-        coeffs = tuple(float(y[j]) * scale ** (1 - 2 * j) for j in range(k + 1))
-        poly = EvenPolynomial(coeffs, scale)
-        check = verify_majorization(
-            poly, problem.direction, grid_points=max(10 * len(problem.grid), 1000)
-        )
-        capped = bool(np.any(np.abs(y) >= cap * (1.0 - 1e-6)))
-        if check.ok:
-            value = _contract(problem.moments, poly)
-            return LpSolution(poly, value, "capped" if capped else "optimal", True, round_no)
-        shifted = _shift_certified(poly, check, problem)
-        if shifted is not None:
-            value = _contract(problem.moments, shifted)
-            improved = best is None or (
-                value < best.objective if above else value > best.objective
-            )
-            if improved:
-                best = LpSolution(
-                    shifted, value, "capped" if capped else "optimal", True, round_no
-                )
-        cuts = violation_minima(
-            poly, problem.direction, grid_points=max(10 * len(problem.grid), 1000)
-        )
-        if not cuts:
-            cuts = [check.worst_x]
-        for cut in cuts:
-            for extra in _cut_points(upoints, cut / scale):
-                upoints.append(extra)
-        upoints.sort()
-    if best is not None:
-        return best
-    raise LpConvergenceError(
-        f"no certified solution after {MAX_CUT_ROUNDS} cutting-plane rounds "
-        f"(degree {problem.degree}, direction {problem.direction})"
-    )
+    nodes, ends = _principal_nodes(problem)
+    y = _sqrt_interpolant(nodes, ends, k) * problem.scale ** (1.0 - 2 * np.arange(k + 1))
+    poly = EvenPolynomial(tuple(y.tolist()), problem.scale)
+    check = verify_majorization(poly, problem.direction, grid_points=max(1280 * k, 1000))
+    return LpSolution(poly, _contract(problem.moments, poly), "optimal", check.ok, 1)
 
 
 def _contract(moments: tuple[int, ...], poly: EvenPolynomial) -> float:
-    """Pair the polynomial's coefficients with the even walk counts."""
-    return float(sum(c * int(m) for c, m in zip(poly.coefficients, moments)))
-
-
-def _shift_certified(
-    poly: EvenPolynomial, check: MajorizationCheck, problem: LpProblem
-) -> EvenPolynomial | None:
-    """Move the constant coefficient past the worst violation and re-verify.
-
-    A near-optimal polynomial with a small gap on the wrong side is still a
-    bound after shifting by that gap, at the price of gap * n in the
-    objective; this is the safety net for rounds whose LP vertex cannot be
-    resolved numerically.  Gaps beyond a per-mille of the scale mean the
-    round was junk rather than noisy, so those are not worth keeping.
-    """
-    slack = -check.worst_gap + 1e-12 * problem.scale
-    if not 0.0 < slack < 1e-3 * problem.scale:
-        return None
-    sign = 1.0 if problem.direction == "above" else -1.0
-    coeffs = (poly.coefficients[0] + sign * slack,) + poly.coefficients[1:]
-    shifted = EvenPolynomial(coeffs, poly.scale)
-    recheck = verify_majorization(
-        shifted, problem.direction, grid_points=max(10 * len(problem.grid), 1000)
-    )
-    return shifted if recheck.ok else None
-
-
-_MIN_CUT_SPACING = 1e-9
-
-
-def _dedupe_grid(upoints: list[float]) -> list[float]:
-    """Sorted sample at _MIN_CUT_SPACING resolution with the right endpoint kept."""
-    end = max(upoints)
-    kept: list[float] = []
-    for x in sorted(upoints):
-        if not kept or x - kept[-1] >= _MIN_CUT_SPACING:
-            kept.append(x)
-    if kept[-1] != end:
-        kept[-1] = end
-    return kept
-
-
-def _cut_points(upoints: list[float], cut: float) -> list[float]:
-    """The violator plus midpoints towards its existing neighbours.
-
-    Points closer than _MIN_CUT_SPACING to the sample are dropped: between
-    samples that close the interpolation dip is far below the certification
-    tolerance, while near-duplicate rows degrade the simplex bases.
-    """
-    out = []
-    lower = max((x for x in upoints if x < cut), default=None)
-    upper = min((x for x in upoints if x > cut), default=None)
-    if all(abs(cut - x) > _MIN_CUT_SPACING for x in upoints):
-        out.append(cut)
-    if lower is not None and cut - lower > 2 * _MIN_CUT_SPACING:
-        out.append((cut + lower) / 2.0)
-    if upper is not None and upper - cut > 2 * _MIN_CUT_SPACING:
-        out.append((cut + upper) / 2.0)
-    return out
+    """Pair the coefficients with the even walk counts exactly, rounding once: terms
+    near 1e12 that cancel to the energy undercut it in float sums (gnp:7:0.9:394105)."""
+    ratios = [c.as_integer_ratio() for c in poly.coefficients]
+    den = max(q for _, q in ratios)  # a power of two, as every q is
+    return sum(p * (den // q) * int(m) for (p, q), m in zip(ratios, moments)) / den
 
 
 @dataclass(frozen=True)
@@ -585,15 +294,12 @@ class SweepEntry:
     lower: LpSolution
 
 
-def bound_sweep(
-    g: Graph, max_degree: int, coefficient_cap: float = DEFAULT_COEFFICIENT_CAP
-) -> tuple[SweepEntry, ...]:
+def bound_sweep(g: Graph, max_degree: int) -> tuple[SweepEntry, ...]:
     """Certified upper and lower bounds for every even degree 2..max_degree.
 
-    A lower-degree polynomial lives inside every higher-degree space, so each
-    entry inherits the previous one whenever the fresh solve lands worse;
-    upper bounds are weakly decreasing and lower bounds weakly increasing by
-    construction.
+    Each entry keeps the previous degree's polynomial, which lives in every
+    higher-degree space, when the fresh solve is worse or fails verification,
+    so the bounds are monotone by construction.
     """
     if max_degree < 2 or max_degree % 2 or max_degree > MAX_LP_DEGREE:
         raise ValueError(f"max degree must be even in 2..{MAX_LP_DEGREE}, got {max_degree}")
@@ -601,13 +307,14 @@ def bound_sweep(
     walks = trace_moments(g, max_degree)
     entries: list[SweepEntry] = []
     for degree in range(2, max_degree + 1, 2):
-        above = _sampled_problem(walks, scale, degree, "above", None, coefficient_cap)
+        above = LpProblem(degree, tuple(walks[0 : degree + 1 : 2]), scale, "above")
         upper = solve_bound_lp(above)
         lower = solve_bound_lp(replace(above, direction="below"))
         if entries:
-            if entries[-1].upper.objective < upper.objective:
-                upper = entries[-1].upper
-            if entries[-1].lower.objective > lower.objective:
-                lower = entries[-1].lower
+            prev = entries[-1]
+            if not upper.certified or prev.upper.objective < upper.objective:
+                upper = prev.upper
+            if not lower.certified or prev.lower.objective > lower.objective:
+                lower = prev.lower
         entries.append(SweepEntry(degree, upper, lower))
     return tuple(entries)

@@ -104,13 +104,13 @@ def _stationary_points(p: EvenPolynomial) -> list[float]:
     if not np.any(der[1:]):
         return []
     roots = np.polynomial.polynomial.polyroots(der)
+    dder = np.polynomial.polynomial.polyder(der)
     out = []
     for z in roots:
         if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
             continue
         x = float(z.real)
         # Two Newton steps against P'(x) - 1 sharpen np.roots output.
-        dder = np.polynomial.polynomial.polyder(der)
         for _ in range(2):
             fx = float(np.polynomial.polynomial.polyval(x, der))
             dfx = float(np.polynomial.polynomial.polyval(x, dder))
@@ -155,9 +155,9 @@ def violation_minima(
     """Interior x locations where the majorisation gap dips below tolerance.
 
     Collects the violating stationary points of P(x) - x plus violating local
-    minima of the sampled gap, deduplicated; used as cutting planes by the LP
-    optimiser.  Endpoints are excluded (any sensible constraint grid already
-    holds them).
+    minima of the sampled gap, deduplicated.  Endpoints are excluded.  No
+    bound calls it; polyopt imports it only because a benchmark tracer hooks
+    the name.
     """
     if direction not in ("above", "below"):
         raise ValueError(f"direction must be 'above' or 'below', got {direction!r}")
@@ -186,10 +186,10 @@ def bound_from_polynomial(p: EvenPolynomial, summary: MomentSummary, direction: 
 
     For direction "above" the result bounds the energy from above; "below"
     gives a lower bound.  Polynomials of degree > 4 carry moments this
-    summary does not hold; route those through the LP optimiser instead.
+    summary does not hold; route those through solve_bound_lp instead.
     """
     if len(p.coefficients) > 3:
-        raise ValueError("degree above 4 needs higher moments; use the LP optimiser")
+        raise ValueError("degree above 4 needs higher moments; use solve_bound_lp")
     if abs(p.scale - summary.max_degree) > 1e-9 * max(1.0, summary.max_degree):
         raise ValueError(
             f"polynomial scale {p.scale} does not match max degree {summary.max_degree}"

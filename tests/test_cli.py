@@ -8,8 +8,14 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import menergy.cli as cli
 from menergy.cli import ANALYZE_COLUMNS, SWEEP_COLUMNS, main
@@ -531,6 +537,107 @@ def test_out_replaces_a_longer_file(tmp_path, capsys):
     code, _, _ = run_cli(["generate", "complete:2", "--out", str(path)], capsys)
     assert code == 0
     assert path.read_text() == "A_\n"
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mutated input files against networkx
+
+# Printable ASCII plus the control bytes that str.splitlines and str.strip
+# treat as line breaks or whitespace, which bytes-oriented readers do not.
+FUZZ_CHARS = st.sampled_from(
+    [chr(c) for c in range(32, 127)] + list("\t\r\n\x00\x0b\x0c\x1c\x1d\x1e\x1f")
+)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = nx.empty_graph(n)
+    g.add_edges_from(draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    return g
+
+
+@st.composite
+def mutated(draw, text):
+    chars = list(text)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        pos = draw(st.integers(0, max(0, len(chars) - 1)))
+        if op == "insert":
+            chars.insert(pos, draw(FUZZ_CHARS))
+        elif chars and op == "replace":
+            chars[pos] = draw(FUZZ_CHARS)
+        elif chars:
+            del chars[pos]
+    return "".join(chars)
+
+
+def _analyze_file(text, in_format):
+    """Run analyze in-process on text; return (code, csv rows, stderr, path)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_bytes(text.encode("ascii"))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["analyze", "--in", str(path), "--in-format", in_format])
+    rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+    return code, rows, err.getvalue(), str(path)
+
+
+def _assert_matches(row, g):
+    assert int(row["n"]) == g.number_of_nodes()
+    assert int(row["m"]) == g.number_of_edges()
+    assert int(row["zagreb"]) == sum(d * d for _, d in g.degree())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzzed_graph6_matches_networkx_or_names_the_line(data):
+    graphs = data.draw(st.lists(small_graphs(), min_size=1, max_size=3))
+    text = data.draw(mutated("".join(nx.to_graph6_bytes(g, header=False).decode() for g in graphs)))
+    code, rows, err, path = _analyze_file(text, "graph6")
+    if code == 1:
+        assert rows == [] and err.startswith("line ") and "Traceback" not in err
+        return
+    assert code == 0 and err == ""
+    # networkx's read_graph6 splits at b"\n" and applies bytes.strip() to each line.
+    lines = [ln.strip() for ln in text.encode("ascii").split(b"\n")]
+    reference = [nx.from_graph6_bytes(ln) for ln in lines if ln]
+    assert len(rows) == len(reference)
+    for row, g in zip(rows, reference):
+        _assert_matches(row, g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fuzzed_edge_list_matches_networkx_or_names_the_line(data):
+    g = data.draw(small_graphs())
+    text = f"n {g.number_of_nodes()}\n" + "".join(f"{i} {j}\n" for i, j in g.edges())
+    text = data.draw(mutated(text))
+    code, rows, err, path = _analyze_file(text, "edgelist")
+    if code == 1:
+        assert rows == [] and "Traceback" not in err
+        assert err.startswith(f"{path}: line ") or err == f"{path}: empty edge-list input\n"
+        return
+    assert code == 0 and err == ""
+    lines = [ln for ln in text.split("\n") if ln.strip()]
+    n = int(lines[0].split()[1])
+    reference = nx.parse_edgelist(lines[1:], nodetype=int, data=False)
+    reference.add_nodes_from(range(n))
+    assert len(rows) == 1
+    _assert_matches(rows[0], reference)
+
+
+def test_separator_bytes_inside_graph6_are_rejected(capsys, tmp_path):
+    # str.splitlines would cut "A_\x1eA_" into two graphs and str.strip would
+    # drop a trailing 0x1e; networkx rejects both lines.
+    for text in ("A_\x1eA_\n", "A_\nA_\x1e\n", "A_\n\x1c\n"):
+        path = tmp_path / "sep.g6"
+        path.write_text(text)
+        code, out, err = run_cli(["analyze", "--in", str(path)], capsys)
+        assert code == 1 and out == "", repr(text)
+        assert err.startswith("line 1:" if "\x1eA" in text else "line 2:"), repr(text)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""LP bound optimiser: simplex core, problem assembly, and certified solves."""
+"""Bounds layer: problem assembly, principal-representation solves, sweeps, the kept simplex."""
 
 import math
 from unittest import mock
@@ -12,24 +12,22 @@ from scipy.optimize import linprog
 import menergy as me
 from menergy import polyopt
 from menergy.polyopt import (
-    LpConvergenceError,
-    LpInfeasibleError,
+    NODE_FLOOR,
     LpProblem,
-    _cut_points,
-    _dedupe_grid,
-    _minimal_norm_refit,
-    _minimize_over_halfplanes,
+    _gauss_nodes,
+    _principal_nodes,
     lp_problem,
     simplex_standard_form,
     solve_bound_lp,
 )
 from menergy.quartic import verify_majorization
+from menergy.report import SOUNDNESS_RTOL
 
-from conftest import corpus_graph, spectrum_of, summary_of
+from conftest import CORPUS_SPECS, corpus_graph, spectrum_of, summary_of
 
 
 # ---------------------------------------------------------------------------
-# simplex core
+# simplex core (the bounds no longer use it; a benchmark tracer hooks its name)
 
 
 def test_simplex_textbook_lp():
@@ -137,59 +135,12 @@ def test_simplex_matches_reference_solver(data):
         assert ref.status == 3
 
 
-def test_halfplane_minimiser_free_variables():
-    # min y0 over y0 >= -2, y1 >= 1, y0 + y1 >= 0: free variables go negative.
-    cost = np.array([1.0, 0.0])
-    gmat = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    h = np.array([-2.0, 1.0, 0.0])
-    y, value = _minimize_over_halfplanes(cost, gmat, h)
-    assert value == pytest.approx(-2.0, abs=1e-9)
-    assert y[0] == pytest.approx(-2.0, abs=1e-8)
-
-
-def test_minimal_norm_refit_picks_small_point():
-    # Optimal face is {y0 = 0, -3 <= y1 <= 3}; the refit should land at 0.
-    cost = np.array([1.0, 0.0])
-    gmat = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    h = np.array([0.0, -3.0, -3.0])
-    y = _minimal_norm_refit(cost, gmat, h, 0.0)
-    assert y is not None
-    assert y == pytest.approx([0.0, 0.0], abs=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# grid maintenance helpers
-
-
-def test_dedupe_grid_collapses_near_duplicates():
-    pts = [0.0, 1e-12, 0.5, 0.5 + 1e-12, 1.0]
-    assert _dedupe_grid(pts) == [0.0, 0.5, 1.0]
-
-
-def test_dedupe_grid_keeps_right_endpoint():
-    pts = [0.0, 1.0 - 1e-12, 1.0]
-    assert _dedupe_grid(pts) == [0.0, 1.0]
-
-
-def test_cut_points_adds_violator_and_midpoints():
-    out = _cut_points([0.0, 1.0], 0.5)
-    assert sorted(out) == pytest.approx([0.25, 0.5, 0.75])
-
-
-def test_cut_points_skips_crowded_cut():
-    # Cut sits on top of an existing sample: only the far midpoint survives.
-    out = _cut_points([0.0, 1.0], 5e-10)
-    assert len(out) == 1
-    assert out[0] == pytest.approx(0.5, abs=1e-6)
-
-
 # ---------------------------------------------------------------------------
 # problem assembly and validation
 
 
 def test_problem_validation_rejections():
-    grid = tuple(np.linspace(0.0, 3.0, 70))
-    ok = dict(degree=2, moments=(10, 30), scale=3.0, grid=grid, direction="above")
+    ok = dict(degree=2, moments=(10, 30), scale=3.0, direction="above")
 
     def bad(**kw):
         args = {**ok, **kw}
@@ -203,11 +154,6 @@ def test_problem_validation_rejections():
     bad(moments=(10, -1))
     bad(scale=0.0)
     bad(direction="sideways")
-    bad(grid=grid[:40])
-    bad(grid=tuple(np.linspace(0.1, 3.0, 70)))
-    bad(grid=tuple(np.linspace(0.0, 2.0, 70)))
-    bad(grid=grid[:30] + (grid[29],) + grid[30:])
-    bad(coefficient_cap=0.0)
 
 
 def test_lp_problem_builder():
@@ -216,18 +162,12 @@ def test_lp_problem_builder():
     assert p.degree == 4
     assert p.scale == 3.0
     assert p.moments == (10, 30, 150)
-    assert len(p.grid) == 256
-    assert p.grid[0] == 0.0 and p.grid[-1] == 3.0
-    assert all(b > a for a, b in zip(p.grid, p.grid[1:]))
-    # Degree 0 keeps a floor of 33 points.
-    assert len(lp_problem(g, 0, "above").grid) == 33
+    assert p.direction == "above"
 
 
 def test_lp_problem_rejects_edgeless_and_bad_sizes():
     with pytest.raises(me.NoEdgesError):
         lp_problem(corpus_graph("path:1"), 2, "above")
-    with pytest.raises(ValueError, match="grid_size"):
-        lp_problem(corpus_graph("petersen"), 4, "above", grid_size=100)
     with pytest.raises(ValueError, match="degree"):
         lp_problem(corpus_graph("petersen"), 3, "above")
 
@@ -327,7 +267,6 @@ def test_scale_doubling_doubles_objective():
         degree=4,
         moments=(10, 4 * 30, 16 * 150),
         scale=2 * base.scale,
-        grid=tuple(2 * x for x in base.grid),
         direction="above",
     )
     a = solve_bound_lp(base)
@@ -335,19 +274,96 @@ def test_scale_doubling_doubles_objective():
     assert b.objective == pytest.approx(2 * a.objective, rel=1e-6)
 
 
-def test_cap_binding_is_reported():
-    # cap == D makes the optimal constant sit exactly on the box.
-    g = corpus_graph("petersen")
-    sol = solve_bound_lp(lp_problem(g, 0, "above", coefficient_cap=3.0))
-    assert sol.status == "capped"
+def test_gauss_nodes_of_a_full_rank_measure():
+    # Atoms at t = 1, 2, 4: moments sum t^j for j = 0..5.
+    nodes = _gauss_nodes([3, 7, 21, 73, 273, 1057])
+    assert nodes == pytest.approx([1.0, 2.0, 4.0], abs=1e-12)
+
+
+def test_gauss_nodes_cut_a_singular_hankel_to_its_rank():
+    # Two atoms (mass 2 at t = 0 and at t = 1) asked for three nodes: the
+    # 3-by-3 Hankel matrix is singular and the rule is the measure itself.
+    nodes = _gauss_nodes([4, 2, 2, 2, 2, 2])
+    assert nodes == pytest.approx([0.0, 1.0], abs=1e-15)
+
+
+def test_upper_node_at_zero_moves_to_the_floor():
+    # cycle:4 has |lambda| in {0, 2}: the right Radau node of (1 - u) mu sits at 0.
+    problem = lp_problem(corpus_graph("cycle:4"), 4, "above")
+    nodes, ends = _principal_nodes(problem)
+    assert nodes.tolist() == [NODE_FLOOR] and ends == (1.0,)
+    sol = solve_bound_lp(problem)
     assert sol.certified
-    assert sol.objective == pytest.approx(30.0, rel=1e-9)
+    assert 4.0 <= sol.objective <= 4.0 * (1 + 1e-5)
 
 
-def test_cap_too_tight_is_infeasible():
-    g = corpus_graph("petersen")
-    with pytest.raises(LpInfeasibleError, match="cap"):
-        solve_bound_lp(lp_problem(g, 0, "above", coefficient_cap=1.5))
+def test_degree_four_upper_is_the_closed_form_quartic():
+    # The k = 2 right Radau rule touches at sqrt((m2s - m4s) / (m0s - m2s)) and 1.
+    checked = 0
+    for spec in CORPUS_SPECS:
+        g = corpus_graph(spec)
+        if me.degree_stats(g).max_degree < 1:
+            continue
+        sm = me.scaled_moments(summary_of(g))
+        if me.optimal_tangency(sm)[1]:
+            continue
+        sol = solve_bound_lp(lp_problem(g, 4, "above"))
+        assert sol.objective == pytest.approx(me.best_quartic_bound(sm), rel=1e-10), spec
+        checked += 1
+    assert checked >= 20
+
+
+# The corpus graphs with edges, plus twelve regression families.
+FAMILIES = sorted(
+    set(CORPUS_SPECS) - {"complete:1", "path:1"}
+    | {"petersen", "heawood", "cycle:7", "bipartite:2:3", "gnp:10:0.2:1", "gnp:15:0.5:2"}
+    | {"rook:4", "star:4", "cycle:4", "complete:2", "gnp:24:0.5:4", "gnp:20:0.2:7"}
+)
+
+
+@pytest.mark.parametrize("spec", FAMILIES)
+def test_every_bound_to_degree_eight_certifies_without_fallback(spec):
+    g = corpus_graph(spec)
+    for degree in (2, 4, 6, 8):
+        for direction in ("above", "below"):
+            sol = solve_bound_lp(lp_problem(g, degree, direction))
+            assert sol.certified, (degree, direction)
+
+
+def _grid_lp_bound(g, degree, direction, points=4000, box=1e4):
+    """Independent oracle: the sampled bound LP in the even-Chebyshev basis, by HiGHS.
+
+    P(x) = D sum_j a_j T_2j(x / D) with |a_j| <= box; without the box the
+    sampled LP is unbounded on boundary moment sequences (Petersen, degree 8).
+    """
+    k = degree // 2
+    dmax = me.degree_stats(g).max_degree
+    basis = np.zeros((k + 1, k + 1))
+    for j in range(k + 1):
+        basis[: j + 1, j] = np.polynomial.chebyshev.cheb2poly([0] * (2 * j) + [1])[::2]
+    nu = np.array([me.trace_moment(g, 2 * i) / dmax ** (2 * i) for i in range(k + 1)])
+    cost = dmax * (basis.T @ nu)
+    u = (1.0 - np.cos(np.pi * np.arange(points) / (points - 1))) / 2.0
+    tvals = np.polynomial.chebyshev.chebvander(u, 2 * k)[:, ::2]
+    sign = 1.0 if direction == "above" else -1.0
+    res = linprog(
+        sign * cost, A_ub=-sign * tvals, b_ub=-sign * u, bounds=[(-box, box)] * (k + 1),
+        method="highs",
+    )
+    assert res.status == 0
+    return sign * res.fun
+
+
+@pytest.mark.parametrize(
+    "spec", ["gnp:10:0.2:1", "gnp:15:0.5:2", "gnp:24:0.5:4", "cycle:7", "cycle:9", "path:5", "path:10"]
+)
+def test_bounds_match_a_dense_grid_lp(spec):
+    g = corpus_graph(spec)
+    for degree in (2, 4, 6, 8):
+        for direction in ("above", "below"):
+            sol = solve_bound_lp(lp_problem(g, degree, direction))
+            ref = _grid_lp_bound(g, degree, direction)
+            assert sol.objective == pytest.approx(ref, rel=1e-5), (degree, direction)
 
 
 # ---------------------------------------------------------------------------
@@ -403,3 +419,88 @@ def test_sweep_to_degree_sixteen_on_petersen():
         assert cur.lower.objective >= prev.lower.objective
     assert entries[-1].upper.objective == pytest.approx(16.0, rel=1e-6)
     assert entries[-1].lower.objective == pytest.approx(16.0, rel=1e-6)
+
+
+def test_failed_candidate_falls_back_to_the_previous_degree(monkeypatch):
+    real = polyopt.verify_majorization
+
+    def reject_degree_six(poly, direction, grid_points):
+        check = real(poly, direction, grid_points)
+        return check._replace(ok=check.ok and poly.degree != 6)
+
+    monkeypatch.setattr(polyopt, "verify_majorization", reject_degree_six)
+    g = corpus_graph("petersen")
+    assert not solve_bound_lp(lp_problem(g, 6, "above")).certified
+    entries = me.bound_sweep(g, 8)
+    assert entries[2].upper is entries[1].upper
+    assert entries[2].lower is entries[1].lower
+    assert entries[3].upper.polynomial.degree == 8
+    assert all(e.upper.certified and e.lower.certified for e in entries)
+
+
+@pytest.mark.parametrize("spec, max_degree", [("cycle:7", 12), ("cycle:4", 8), ("bipartite:3:3", 10)])
+def test_sweeps_on_boundary_spectra_and_odd_cycles(spec, max_degree):
+    g = corpus_graph(spec)
+    energy = me.energy(g)
+    entries = me.bound_sweep(g, max_degree)
+    assert [e.degree for e in entries] == list(range(2, max_degree + 1, 2))
+    for e in entries:
+        assert e.upper.certified and e.lower.certified
+        assert me.soundness_ok(energy, e.upper.objective, e.lower.objective)
+    for prev, cur in zip(entries, entries[1:]):
+        assert cur.upper.objective <= prev.upper.objective
+        assert cur.lower.objective >= prev.lower.objective
+    if spec != "cycle:7":
+        # |lambda| takes two values: the moments pin the spectrum down.
+        assert entries[-1].upper.objective == pytest.approx(energy, rel=1e-5)
+        assert entries[-1].lower.objective == pytest.approx(energy, rel=1e-12)
+
+
+def test_contraction_is_exact_where_coefficient_terms_cancel():
+    # Degree 16 on this graph puts a node at NODE_FLOOR beside three others:
+    # terms near 1e12 cancel to the energy, and a float sum undercut it by 3e-6.
+    g = corpus_graph("gnp:7:0.9:394105")
+    energy = me.energy(g)
+    sol = solve_bound_lp(lp_problem(g, 16, "above"))
+    assert sol.objective >= energy * (1 - SOUNDNESS_RTOL)
+    for e in me.bound_sweep(g, 16):
+        assert me.soundness_ok(energy, e.upper.objective, e.lower.objective)
+
+
+@pytest.mark.parametrize("spec, floor", [("cycle:9", 11.266), ("cycle:11", 13.7697)])
+def test_degree_twelve_lower_bound_on_odd_cycles(spec, floor):
+    entries = me.bound_sweep(corpus_graph(spec), 12)
+    assert entries[-1].lower.certified
+    assert entries[-1].lower.objective >= floor
+
+
+def test_corpus_sweeps_to_degree_sixteen():
+    for spec in CORPUS_SPECS:
+        g = corpus_graph(spec)
+        if me.degree_stats(g).max_degree < 1:
+            continue
+        energy = me.energy(g)
+        entries = me.bound_sweep(g, 16)
+        for e in entries:
+            assert e.upper.certified and e.lower.certified, (spec, e.degree)
+            assert me.soundness_ok(energy, e.upper.objective, e.lower.objective), (spec, e.degree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_graph_sweeps_are_certified_sound_and_monotone(data):
+    n = data.draw(st.integers(2, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    adjacency = np.zeros((n, n))
+    for i, j in edges:
+        adjacency[i, j] = adjacency[j, i] = 1.0
+    energy = float(np.abs(np.linalg.eigvalsh(adjacency)).sum())
+    slack = SOUNDNESS_RTOL * max(1.0, energy)
+    entries = me.bound_sweep(me.Graph.from_edges(n, edges), 16)
+    for e in entries:
+        assert e.upper.certified and e.lower.certified
+        assert e.lower.objective - slack <= energy <= e.upper.objective + slack
+    for prev, cur in zip(entries, entries[1:]):
+        assert cur.upper.objective <= prev.upper.objective
+        assert cur.lower.objective >= prev.lower.objective
