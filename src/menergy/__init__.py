@@ -39,7 +39,6 @@ from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .graphs import (
     Graph,
     GraphError,
-    adjacency_matrix,
     bipartition,
     is_bipartite,
     is_connected,
@@ -83,6 +82,7 @@ from .report import BoundReport, analyze_graph, soundness_ok
 from .spectral import (
     CapExceededError,
     Spectrum,
+    adjacency_matrix,
     eigenvalues,
     energy,
     trace_moment,

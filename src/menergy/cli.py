@@ -11,8 +11,9 @@ Output ordering and float formatting (12 significant digits) are fixed, so
 identical input produces byte-identical CSV.
 
 Exit codes: 0 on success, 1 on unreadable or oversized input (diagnostics name
-the line or file) or an unwritable --out (opened before any work, and left
-as it was when the run fails), 2 when --fail-on-violation is set and a bound
+the line or file), an unwritable --out (opened before any work, and left
+as it was when the run fails) or an output pipe closed by its reader (quietly,
+with nothing on stderr), 2 when --fail-on-violation is set and a bound
 crosses the exact energy by more than the soundness slack.
 """
 
@@ -283,14 +284,22 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
         return 1
-    with sink or nullcontext(sys.stdout) as handle:
-        if args.command == "generate":
-            return cmd_generate(args, handle)
-        if args.command == "analyze":
-            return _run_batch(args, handle, _analyze_rows, ANALYZE_COLUMNS, "soundness")
-        return _run_batch(
-            args, handle, partial(_sweep_rows, args.max_degree), SWEEP_COLUMNS, "bound"
-        )
+    try:
+        with sink or nullcontext(sys.stdout) as handle:
+            if args.command == "generate":
+                code = cmd_generate(args, handle)
+            elif args.command == "analyze":
+                code = _run_batch(args, handle, _analyze_rows, ANALYZE_COLUMNS, "soundness")
+            else:
+                rows = partial(_sweep_rows, args.max_degree)
+                code = _run_batch(args, handle, rows, SWEEP_COLUMNS, "bound")
+            handle.flush()
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so the flush at exit
+        # cannot fail again (Python's documented SIGPIPE recipe).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, adjacency_matrix, bipartition, is_connected, is_regular
+from .graphs import Graph, bipartition, is_connected, is_regular
 from .moments import ScaledMoments, codegree_matrix
 from .quartic import optimal_tangency
 from .spectral import Spectrum, eigenvalues
@@ -77,7 +77,7 @@ def detect_srg(g: Graph) -> tuple[int, int, int, int] | None:
     if d is None:
         return None
     c = codegree_matrix(g)
-    adjacent = adjacency_matrix(g).astype(bool)
+    adjacent = g.matrix.astype(bool)
     apart = ~adjacent
     np.fill_diagonal(apart, False)
     lams = np.unique(c[adjacent])

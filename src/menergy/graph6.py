@@ -1,4 +1,5 @@
-"""Bit-exact graph6 encoding and decoding.
+"""Bit-exact graph6 encoding and decoding, both in numpy; decoding scatters the
+set bits straight into the adjacency matrix the graph keeps.
 
 A graph6 string is a size field followed by the upper triangle of the
 adjacency matrix read in column order x(0,1), x(0,2), x(1,2), x(0,3), ...
@@ -10,6 +11,8 @@ holding n big-endian in 18 bits for 63 <= n <= 258047.  The optional
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .graphs import Graph
 
@@ -33,23 +36,23 @@ def parse_graph6(line: str) -> Graph:
         s = s[len(HEADER):]
     if not s:
         raise Graph6Error("empty graph6 string")
-    data = []
-    for pos, ch in enumerate(s):
-        code = ord(ch)
-        if not 63 <= code <= 126:
-            raise Graph6Error(
-                f"invalid character {ch!r} at position {pos} (byte {code} outside 63..126)"
-            )
-        data.append(code - 63)
+    # UTF-32 keeps one array element per character, whatever its code point.
+    data = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), np.uint32) - 63
+    bad = np.flatnonzero(data > 63)  # below 63 wraps around
+    if bad.size:
+        pos = int(bad[0])
+        raise Graph6Error(
+            f"invalid character {s[pos]!r} at position {pos} (byte {ord(s[pos])} outside 63..126)"
+        )
     if data[0] <= 62:
-        n = data[0]
+        n = int(data[0])
         body = data[1:]
     else:
         if len(data) >= 2 and data[1] == 63:
             raise Graph6Error(f"6-byte size fields (n > {MAX_VERTICES}) are not supported")
         if len(data) < 4:
             raise Graph6Error("truncated size field")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        n = int(data[1]) << 12 | int(data[2]) << 6 | int(data[3])
         body = data[4:]
     nbits = n * (n - 1) // 2
     ngroups = (nbits + 5) // 6
@@ -61,17 +64,15 @@ def parse_graph6(line: str) -> Graph:
         raise Graph6Error("trailing data after adjacency bits")
     if ngroups:
         pad = 6 * ngroups - nbits
-        if body[-1] & ((1 << pad) - 1):
+        if int(body[-1]) & ((1 << pad) - 1):
             raise Graph6Error("nonzero padding bits")
-    rows = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if (body[k // 6] >> (5 - k % 6)) & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            k += 1
-    return Graph(n, tuple(rows))
+    # Bit k of the stream is x(i, j) for the column j with j(j-1)/2 <= k < j(j+1)/2.
+    bits = np.unpackbits(body.astype(np.uint8)[:, None], axis=1)[:, 2:]
+    k = np.flatnonzero(bits)
+    col = np.arange(n)
+    starts = col * (col - 1) // 2
+    j = np.searchsorted(starts, k, side="right") - 1
+    return Graph._from_edge_arrays(n, k - starts[j], j)
 
 
 def write_graph6(g: Graph) -> str:
@@ -79,26 +80,9 @@ def write_graph6(g: Graph) -> str:
     n = g.n
     if n > MAX_VERTICES:
         raise Graph6Error(f"graph too large to encode: n={n} exceeds {MAX_VERTICES}")
-    out = []
-    if n <= 62:
-        out.append(chr(n + 63))
-    else:
-        out.append(chr(126))
-        out.append(chr(((n >> 12) & 63) + 63))
-        out.append(chr(((n >> 6) & 63) + 63))
-        out.append(chr((n & 63) + 63))
-    group = 0
-    filled = 0
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            group = (group << 1) | ((col >> i) & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(group + 63))
-                group = 0
-                filled = 0
-    if filled:
-        group <<= 6 - filled
-        out.append(chr(group + 63))
-    return "".join(out)
+    size = [n] if n <= 62 else [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
+    ends = np.fromiter(g.edges(), np.dtype((np.int64, 2)))
+    k = ends[:, 1] * (ends[:, 1] - 1) // 2 + ends[:, 0]  # stream position of x(i, j)
+    groups = np.zeros((n * (n - 1) // 2 + 5) // 6, np.uint8)
+    np.bitwise_or.at(groups, k // 6, (32 >> k % 6).astype(np.uint8))
+    return (np.concatenate([np.array(size, np.uint8), groups]) + 63).tobytes().decode("ascii")

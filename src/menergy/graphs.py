@@ -1,8 +1,11 @@
-"""Immutable simple undirected graphs stored as adjacency bitsets."""
+"""Immutable simple undirected graphs: adjacency bitsets plus the one uint8
+matrix they were validated on in numpy, which every dense kernel reads."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import io
+from dataclasses import InitVar, dataclass, field
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -22,6 +25,13 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def unpack_rows(adj: tuple[int, ...], n: int) -> np.ndarray:
+    """The bitset rows ``adj`` (each below 2**n) as a len(adj) x n uint8 block."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in adj), np.uint8)
+    return np.unpackbits(packed.reshape(len(adj), width), axis=1, count=n, bitorder="little")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
@@ -30,26 +40,42 @@ class Graph:
     an edge.  The relation must be symmetric with an empty diagonal; both are
     validated at construction.  ``label`` is carried for reporting only and
     does not take part in equality.
+
+    ``matrix`` is the read-only uint8 adjacency matrix, None above
+    TRACE_MAX_VERTICES.  A caller holding the unpacked ``adj`` may pass it in.
     """
 
     n: int
     adj: tuple[int, ...]
     label: str = field(default="", compare=False)
+    matrix: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, matrix: np.ndarray | None) -> None:
         if self.n < 0:
             raise GraphError("vertex count must be non-negative")
         if len(self.adj) != self.n:
             raise GraphError("adjacency length does not match vertex count")
+        # Each row is range-checked before it is unpacked; reading its diagonal
+        # bit in the same pass keeps the diagnostics in row order.
         for i, row in enumerate(self.adj):
             if row >> self.n:
                 raise GraphError(f"vertex {i}: neighbour index out of range")
             if (row >> i) & 1:
                 raise GraphError(f"vertex {i}: self loop")
-        for i, row in enumerate(self.adj):
-            for j in bit_indices(row):
-                if not (self.adj[j] >> i) & 1:
-                    raise GraphError(f"adjacency not symmetric at ({i}, {j})")
+        if self.n <= TRACE_MAX_VERTICES:
+            a = unpack_rows(self.adj, self.n) if matrix is None else matrix
+            a.flags.writeable = False
+            object.__setattr__(self, "matrix", a)
+            one_way = np.argwhere(a > a.T)
+        else:  # no n x n matrix: the set bits, unpacked in blocks of rows
+            step = TRACE_MAX_VERTICES**2 // self.n
+            ij = np.concatenate([
+                np.argwhere(unpack_rows(self.adj[s : s + step], self.n)) + (s, 0)
+                for s in range(0, self.n, step)
+            ])
+            one_way = ij[~np.isin(ij[:, 1] * self.n + ij[:, 0], ij[:, 0] * self.n + ij[:, 1])]
+        if len(one_way):
+            raise GraphError(f"adjacency not symmetric at ({one_way[0][0]}, {one_way[0][1]})")
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]], label: str = "") -> "Graph":
@@ -63,6 +89,16 @@ class Graph:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
         return Graph(n, tuple(rows), label)
+
+    @staticmethod
+    def _from_edge_arrays(n: int, i: np.ndarray, j: np.ndarray) -> "Graph":
+        """The graph with edges (i[k], j[k]); the indices must be in range and loop-free."""
+        if n > TRACE_MAX_VERTICES:
+            return Graph.from_edges(n, zip(i.tolist(), j.tolist()))
+        a = np.zeros((n, n), np.uint8)
+        a[i, j] = a[j, i] = 1
+        packed = np.packbits(a, axis=1, bitorder="little")
+        return Graph(n, tuple(map(int.from_bytes, packed, repeat("little"))), matrix=a)
 
     @property
     def m(self) -> int:
@@ -85,14 +121,6 @@ class Graph:
                 yield i, i + 1 + k
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """Dense 0/1 adjacency matrix with int64 entries."""
-    width = (g.n + 7) // 8
-    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in g.adj), np.uint8)
-    bits = np.unpackbits(packed.reshape(g.n, width), axis=1, count=g.n, bitorder="little")
-    return bits.astype(np.int64)
-
-
 def parse_edge_list(text: str) -> Graph:
     """Parse the line-oriented edge-list format.
 
@@ -100,15 +128,14 @@ def parse_edge_list(text: str) -> Graph:
     is an edge ``i j`` with 0-based endpoints.  Duplicate edges collapse.
     Lines end at ``\n`` only.  Diagnostics name the 1-based line number.
     """
-    numbered = [
-        (idx, ln.strip()) for idx, ln in enumerate(text.split("\n"), start=1) if ln.strip()
-    ]
-    if not numbered:
+    lines = io.StringIO(text, newline="\n")
+    for head_no, line in enumerate(lines, start=1):
+        if head := line.split():
+            break
+    else:
         raise GraphError("empty edge-list input")
-    head_no, head_line = numbered[0]
-    head = head_line.split()
     if len(head) != 2 or head[0] != "n":
-        raise GraphError(f"line {head_no}: malformed header {head_line!r}")
+        raise GraphError(f"line {head_no}: malformed header {line.strip()!r}")
     try:
         n = int(head[1])
     except ValueError:
@@ -117,21 +144,28 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphError(f"line {head_no}: vertex count must be non-negative")
     if n > TRACE_MAX_VERTICES:
         raise GraphError(f"line {head_no}: n={n} exceeds the dense-matrix cap {TRACE_MAX_VERTICES}")
-    edges = []
-    for lineno, ln in numbered[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"line {lineno}: malformed edge line {ln!r}")
+    try:
+        # One C-level pass that keeps no token list: numpy int()s each line into a
+        # pair.  Three tokens raise; a lone token fills both ends, which fails below.
+        ends = np.fromiter(filter(None, map(str.split, lines)), np.dtype((np.int64, 2)))
+        valid = 0 <= ends.min(initial=0) and ends.max(initial=-1) < n
+        valid = valid and not (ends[:, 0] == ends[:, 1]).any()
+    except (ValueError, OverflowError):  # a malformed token, or one past int64
+        valid = False
+    if valid:
+        return Graph._from_edge_arrays(n, ends[:, 0], ends[:, 1])
+    # Some edge line failed the checks: read the lines one by one to name the first.
+    for lineno, ln in enumerate(text.split("\n")[head_no:], start=head_no + 1):
+        if not (parts := ln.split()):
+            continue
         try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphError(f"line {lineno}: malformed edge line {ln!r}") from None
+            i, j = map(int, parts)
+        except ValueError:  # a malformed token, or not two of them
+            raise GraphError(f"line {lineno}: malformed edge line {ln.strip()!r}") from None
         if not (0 <= i < n and 0 <= j < n):
             raise GraphError(f"line {lineno}: edge ({i}, {j}): vertex index out of range for n={n}")
         if i == j:
             raise GraphError(f"line {lineno}: edge ({i}, {j}): self loop")
-        edges.append((i, j))
-    return Graph.from_edges(n, edges)
 
 
 def is_connected(g: Graph) -> bool:

@@ -2,8 +2,9 @@
 
 Eigenpairs come from LAPACK (``numpy.linalg.eigh``).  Energy is the trace norm
 of A, so sqrt(n) times the residual ||A V - V Lambda||_F that a Spectrum carries
-bounds the energy error of the computed spectrum.  Every dense n x n kernel
-refuses graphs above TRACE_MAX_VERTICES before it allocates a matrix.
+bounds the energy error of the computed spectrum.  Every dense kernel reads
+the uint8 matrix the graph was validated on, and refuses graphs above
+TRACE_MAX_VERTICES, which carry no matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import TRACE_MAX_VERTICES, Graph, adjacency_matrix
+from .graphs import TRACE_MAX_VERTICES, Graph
 
 TRACE_MAX_POWER = 16
 
@@ -33,7 +34,12 @@ def dense_adjacency(g: Graph) -> np.ndarray:
     """The float64 adjacency matrix, refused above the dense-kernel vertex cap."""
     if g.n > TRACE_MAX_VERTICES:
         raise CapExceededError(f"n={g.n} exceeds the dense-matrix cap {TRACE_MAX_VERTICES}")
-    return adjacency_matrix(g).astype(np.float64)
+    return g.matrix.astype(np.float64)
+
+
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    """Dense 0/1 adjacency matrix with int64 entries, refused above the vertex cap."""
+    return dense_adjacency(g).astype(np.int64)
 
 
 def eigenvalues(g: Graph) -> Spectrum:

@@ -7,8 +7,9 @@ property sweeps.  Spectra and summaries are cached per session because the
 eigensolver would otherwise dominate collection time.
 
 The oracles here deliberately avoid the code paths they check: closed walks
-are counted by depth-first enumeration rather than matrix powers, and
-quadrilaterals by testing all three pairings of every 4-subset.
+are counted by depth-first enumeration rather than matrix powers,
+quadrilaterals by testing all three pairings of every 4-subset, and the
+parsers and Graph validation by the per-line and per-bit loops they replaced.
 """
 
 import itertools
@@ -16,7 +17,8 @@ import itertools
 import pytest
 
 import menergy as me
-from menergy.graphs import bit_indices
+from menergy.graph6 import HEADER, MAX_VERTICES, WHITESPACE, Graph6Error
+from menergy.graphs import TRACE_MAX_VERTICES, bit_indices
 
 CORPUS_SPECS = [
     "complete:1",
@@ -162,3 +164,112 @@ def brute_force_design(g: me.Graph) -> tuple[int, int, int] | None:
     if len(lams) > 1:
         return None
     return (len(parts[0]), degrees.pop(), lams.pop() if lams else 0)
+
+
+# Reference parsers: the per-line, per-character and per-bit loops the numpy
+# parsers replaced.  They return (n, bitset rows) or raise the same exception
+# with the same message as the package must.
+
+
+def reference_validate(n: int, adj: tuple[int, ...]) -> None:
+    """Graph construction checks, bit by bit."""
+    if n < 0:
+        raise me.GraphError("vertex count must be non-negative")
+    if len(adj) != n:
+        raise me.GraphError("adjacency length does not match vertex count")
+    for i, row in enumerate(adj):
+        if row >> n:
+            raise me.GraphError(f"vertex {i}: neighbour index out of range")
+        if (row >> i) & 1:
+            raise me.GraphError(f"vertex {i}: self loop")
+    for i, row in enumerate(adj):
+        for j in bit_indices(row):
+            if not (adj[j] >> i) & 1:
+                raise me.GraphError(f"adjacency not symmetric at ({i}, {j})")
+
+
+def reference_parse_edge_list(text: str) -> tuple[int, tuple[int, ...]]:
+    numbered = [
+        (idx, ln.strip()) for idx, ln in enumerate(text.split("\n"), start=1) if ln.strip()
+    ]
+    if not numbered:
+        raise me.GraphError("empty edge-list input")
+    head_no, head_line = numbered[0]
+    head = head_line.split()
+    if len(head) != 2 or head[0] != "n":
+        raise me.GraphError(f"line {head_no}: malformed header {head_line!r}")
+    try:
+        n = int(head[1])
+    except ValueError:
+        raise me.GraphError(f"line {head_no}: malformed vertex count {head[1]!r}") from None
+    if n < 0:
+        raise me.GraphError(f"line {head_no}: vertex count must be non-negative")
+    if n > TRACE_MAX_VERTICES:
+        raise me.GraphError(f"line {head_no}: n={n} exceeds the dense-matrix cap {TRACE_MAX_VERTICES}")
+    rows = [0] * n
+    for lineno, ln in numbered[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise me.GraphError(f"line {lineno}: malformed edge line {ln!r}")
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise me.GraphError(f"line {lineno}: malformed edge line {ln!r}") from None
+        if not (0 <= i < n and 0 <= j < n):
+            raise me.GraphError(
+                f"line {lineno}: edge ({i}, {j}): vertex index out of range for n={n}"
+            )
+        if i == j:
+            raise me.GraphError(f"line {lineno}: edge ({i}, {j}): self loop")
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return n, tuple(rows)
+
+
+def reference_parse_graph6(line: str) -> tuple[int, tuple[int, ...]]:
+    s = line.strip(WHITESPACE)
+    if s.startswith(">>"):
+        if not s.startswith(HEADER):
+            raise Graph6Error(f"bad header: expected {HEADER!r}")
+        s = s[len(HEADER):]
+    if not s:
+        raise Graph6Error("empty graph6 string")
+    data = []
+    for pos, ch in enumerate(s):
+        code = ord(ch)
+        if not 63 <= code <= 126:
+            raise Graph6Error(
+                f"invalid character {ch!r} at position {pos} (byte {code} outside 63..126)"
+            )
+        data.append(code - 63)
+    if data[0] <= 62:
+        n = data[0]
+        body = data[1:]
+    else:
+        if len(data) >= 2 and data[1] == 63:
+            raise Graph6Error(f"6-byte size fields (n > {MAX_VERTICES}) are not supported")
+        if len(data) < 4:
+            raise Graph6Error("truncated size field")
+        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        body = data[4:]
+    nbits = n * (n - 1) // 2
+    ngroups = (nbits + 5) // 6
+    if len(body) < ngroups:
+        raise Graph6Error(
+            f"truncated adjacency bits: need {ngroups} groups for n={n}, got {len(body)}"
+        )
+    if len(body) > ngroups:
+        raise Graph6Error("trailing data after adjacency bits")
+    if ngroups:
+        pad = 6 * ngroups - nbits
+        if body[-1] & ((1 << pad) - 1):
+            raise Graph6Error("nonzero padding bits")
+    rows = [0] * n
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if (body[k // 6] >> (5 - k % 6)) & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            k += 1
+    return n, tuple(rows)

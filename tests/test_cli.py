@@ -386,6 +386,14 @@ def test_graph_above_vertex_cap_is_refused(command, in_format, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
+def test_generated_graph_above_vertex_cap_is_refused(command, capsys):
+    code, out, err = run_cli(COMMANDS[command] + ["--gen", "cycle:3000"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"cycle:3000: n=3000 exceeds the dense-matrix cap {TRACE_MAX_VERTICES}\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize(
     "in_format, data, line",
     [
@@ -642,6 +650,25 @@ def test_separator_bytes_inside_graph6_are_rejected(capsys, tmp_path):
 
 # ---------------------------------------------------------------------------
 # console entry point
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", "--gen", "petersen"], ["sweep", "--gen", "petersen", "--max-degree", "8"]]
+)
+def test_closed_output_pipe_exits_quietly(argv):
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "menergy.cli", *argv],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_module_entry_point_runs():

@@ -76,6 +76,14 @@ def test_parse_rejects(text, message):
         me.parse_graph6(text)
 
 
+def test_round_trip_above_vertex_cap():
+    # No dense matrix exists here: encoding reads the edges and decoding
+    # builds the bitsets without one.
+    g = me.generate_from_string("cycle:3000")
+    assert g.matrix is None
+    assert me.parse_graph6(me.write_graph6(g)) == g
+
+
 def test_write_rejects_oversized():
     # Construct the shell without materialising a huge graph: n just past the
     # 3-byte size field cap.

@@ -1,11 +1,14 @@
 """Core graph type: construction, validation, traversal predicates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import menergy as me
+from menergy import graphs
 from menergy.graphs import TRACE_MAX_VERTICES, GraphError, bit_indices
 
 from conftest import CORPUS_SPECS, corpus_graph
@@ -93,6 +96,43 @@ def test_adjacency_matrix_matches_edge_loop(spec):
 
 def test_adjacency_matrix_of_empty_graph():
     assert me.adjacency_matrix(me.Graph(0, ())).shape == (0, 0)
+
+
+@pytest.mark.parametrize("spec", ["rook:4", "gnp:40:0.5:1"])
+def test_analysis_unpacks_the_bitsets_once(spec, monkeypatch):
+    calls = []
+    unpack = graphs.unpack_rows
+    monkeypatch.setattr(graphs, "unpack_rows", lambda *args: calls.append(1) or unpack(*args))
+    me.analyze_graph(me.generate_from_string(spec))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: corpus_graph("petersen"),
+        lambda: me.parse_graph6("Bg"),
+        lambda: me.parse_edge_list("n 3\n0 1\n1 2\n"),
+    ],
+)
+def test_stored_matrix_is_read_only(make):
+    g = make()
+    assert g.matrix.dtype == np.uint8 and g.matrix.shape == (g.n, g.n)
+    assert g.matrix.flags.writeable is False
+    with pytest.raises(ValueError):
+        g.matrix[0, 1] = 0
+
+
+def test_graph_above_vertex_cap_builds_no_dense_matrix():
+    n = 6000
+    tracemalloc.start()
+    try:
+        g = me.Graph.from_edges(n, [(0, 1)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.matrix is None and g.m == 1
+    assert peak < n * n // 2
 
 
 def test_parse_edge_list():

@@ -124,7 +124,7 @@ def test_simplex_matches_reference_solver(data):
         x, obj, duals, status = simplex_standard_form(a, b, c)
     ref = linprog(c, A_eq=a, b_eq=b, bounds=[(0, None)] * n, method="highs")
     if status == "optimal":
-        assert ref.status == 0
+        assert ref.status == 0  # not 4 either: an optimal verdict needs HiGHS to agree
         assert obj == pytest.approx(ref.fun, abs=1e-7)
         assert np.all(x >= -1e-9)
         assert np.allclose(a @ x, b, atol=1e-7)
@@ -132,7 +132,33 @@ def test_simplex_matches_reference_solver(data):
         assert np.all(c - a.T @ duals >= -1e-7)
     else:
         assert status == "unbounded"
-        assert ref.status == 3
+        assert ref.status == 3 or has_improving_ray(a, c)
+
+
+def has_improving_ray(a, c) -> bool:
+    """A ray d >= 0 with a d = 0 and c d < 0, which makes a feasible LP unbounded."""
+    ray = linprog(c, A_eq=a, b_eq=np.zeros(len(a)), bounds=[(0, 1)] * len(c), method="highs")
+    return ray.status == 0 and ray.fun < -1e-9
+
+
+def test_simplex_unbounded_where_reference_reports_unknown():
+    # HiGHS (scipy 1.17) answers status 4, "Unknown", on this feasible and
+    # unbounded LP with each of its methods; the improving ray settles it.
+    a = np.array(
+        [
+            [1, 3, 0, 2, -1, -1, 2, -3, 0, 3, 2],
+            [1, -2, 3, -3, -2, -1, -1, -1, -3, 2, 2],
+            [-3, -2, -1, -3, 3, 0, -2, -2, 0, -2, 1],
+            [1, -3, 3, -3, -2, -2, -3, 0, 3, -2, 1],
+            [2, -2, -2, 1, 2, 1, 0, -1, 3, -3, -1],
+        ],
+        float,
+    )
+    b = a @ np.array([0, 0, 3, 2, 0, 0, 0, 1, 3, 0, 0], float)
+    c = np.array([-2, 2, 3, -1, 1, -3, 0, 3, -1, -1, -1], float)
+    x, obj, duals, status = simplex_standard_form(a, b, c)
+    assert status == "unbounded"
+    assert has_improving_ray(a, c)
 
 
 # ---------------------------------------------------------------------------
