@@ -14,13 +14,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import TRACE_MAX_VERTICES, Graph
 
 HEADER = ">>graph6<<"
 MAX_VERTICES = 258047  # largest n encodable in the 3-byte size field
 # What bytes.strip() removes around a line, as networkx's read_graph6 does;
 # str.strip() would also drop the separators 0x1c-0x1f and hide a corrupt byte.
 WHITESPACE = " \t\n\r\x0b\x0c"
+
+
+# Strict lower triangles for the one-byte sizes: read row-major, the mask for n
+# lists the stream order x(0,1), x(0,2), x(1,2), x(0,3), ... as (j, i) cells.
+_TRIANGLES = [np.tri(n, k=-1, dtype=bool) for n in range(63)]
 
 
 class Graph6Error(ValueError):
@@ -36,14 +41,12 @@ def parse_graph6(line: str) -> Graph:
         s = s[len(HEADER):]
     if not s:
         raise Graph6Error("empty graph6 string")
-    # UTF-32 keeps one array element per character, whatever its code point.
-    data = np.frombuffer(s.encode("utf-32-le", "surrogatepass"), np.uint32) - 63
-    bad = np.flatnonzero(data > 63)  # below 63 wraps around
-    if bad.size:
-        pos = int(bad[0])
+    if min(s) < "?" or max(s) > "~":
+        pos = next(p for p, ch in enumerate(s) if not "?" <= ch <= "~")
         raise Graph6Error(
             f"invalid character {s[pos]!r} at position {pos} (byte {ord(s[pos])} outside 63..126)"
         )
+    data = np.frombuffer(s.encode("ascii"), np.uint8) - 63
     if data[0] <= 62:
         n = int(data[0])
         body = data[1:]
@@ -66,13 +69,16 @@ def parse_graph6(line: str) -> Graph:
         pad = 6 * ngroups - nbits
         if int(body[-1]) & ((1 << pad) - 1):
             raise Graph6Error("nonzero padding bits")
-    # Bit k of the stream is x(i, j) for the column j with j(j-1)/2 <= k < j(j+1)/2.
-    bits = np.unpackbits(body.astype(np.uint8)[:, None], axis=1)[:, 2:]
-    k = np.flatnonzero(bits)
-    col = np.arange(n)
-    starts = col * (col - 1) // 2
-    j = np.searchsorted(starts, k, side="right") - 1
-    return Graph._from_edge_arrays(n, k - starts[j], j)
+    bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()[:nbits]
+    if n > TRACE_MAX_VERTICES:  # no n x n matrix: bit k is x(i, j), j(j-1)/2 <= k < j(j+1)/2
+        k = np.flatnonzero(bits)
+        col = np.arange(n)
+        starts = col * (col - 1) // 2
+        j = np.searchsorted(starts, k, side="right") - 1
+        return Graph.from_edges(n, zip((k - starts[j]).tolist(), j.tolist()))
+    low = np.zeros((n, n), np.uint8)
+    low[_TRIANGLES[n] if n < len(_TRIANGLES) else np.tri(n, k=-1, dtype=bool)] = bits
+    return Graph._from_matrix(low | low.T)
 
 
 def write_graph6(g: Graph) -> str:

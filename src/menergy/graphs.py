@@ -91,14 +91,10 @@ class Graph:
         return Graph(n, tuple(rows), label)
 
     @staticmethod
-    def _from_edge_arrays(n: int, i: np.ndarray, j: np.ndarray) -> "Graph":
-        """The graph with edges (i[k], j[k]); the indices must be in range and loop-free."""
-        if n > TRACE_MAX_VERTICES:
-            return Graph.from_edges(n, zip(i.tolist(), j.tolist()))
-        a = np.zeros((n, n), np.uint8)
-        a[i, j] = a[j, i] = 1
+    def _from_matrix(a: np.ndarray) -> "Graph":
+        """The graph of a symmetric 0/1 uint8 matrix, which it keeps."""
         packed = np.packbits(a, axis=1, bitorder="little")
-        return Graph(n, tuple(map(int.from_bytes, packed, repeat("little"))), matrix=a)
+        return Graph(len(a), tuple(map(int.from_bytes, packed, repeat("little"))), matrix=a)
 
     @property
     def m(self) -> int:
@@ -153,7 +149,9 @@ def parse_edge_list(text: str) -> Graph:
     except (ValueError, OverflowError):  # a malformed token, or one past int64
         valid = False
     if valid:
-        return Graph._from_edge_arrays(n, ends[:, 0], ends[:, 1])
+        a = np.zeros((n, n), np.uint8)
+        a[ends[:, 0], ends[:, 1]] = a[ends[:, 1], ends[:, 0]] = 1
+        return Graph._from_matrix(a)
     # Some edge line failed the checks: read the lines one by one to name the first.
     for lineno, ln in enumerate(text.split("\n")[head_no:], start=head_no + 1):
         if not (parts := ln.split()):
