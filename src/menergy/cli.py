@@ -294,9 +294,7 @@ def main(argv: list[str] | None = None) -> int:
                 rows = partial(_sweep_rows, args.max_degree)
                 code = _run_batch(args, handle, rows, SWEEP_COLUMNS, "bound")
             handle.flush()
-    except BrokenPipeError:
-        # The reader has gone.  Point stdout at devnull so the flush at exit
-        # cannot fail again (Python's documented SIGPIPE recipe).
+    except BrokenPipeError:  # the reader has gone: Python's documented SIGPIPE recipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return code

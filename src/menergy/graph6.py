@@ -1,5 +1,4 @@
-"""Bit-exact graph6 encoding and decoding, both in numpy; decoding scatters the
-set bits straight into the adjacency matrix the graph keeps.
+"""Bit-exact graph6 encoding and decoding, both vectorised in numpy.
 
 A graph6 string is a size field followed by the upper triangle of the
 adjacency matrix read in column order x(0,1), x(0,2), x(1,2), x(0,3), ...
@@ -14,18 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphs import TRACE_MAX_VERTICES, Graph
+from .graphs import Graph
 
 HEADER = ">>graph6<<"
 MAX_VERTICES = 258047  # largest n encodable in the 3-byte size field
 # What bytes.strip() removes around a line, as networkx's read_graph6 does;
 # str.strip() would also drop the separators 0x1c-0x1f and hide a corrupt byte.
 WHITESPACE = " \t\n\r\x0b\x0c"
-
-
-# Strict lower triangles for the one-byte sizes: read row-major, the mask for n
-# lists the stream order x(0,1), x(0,2), x(1,2), x(0,3), ... as (j, i) cells.
-_TRIANGLES = [np.tri(n, k=-1, dtype=bool) for n in range(63)]
 
 
 class Graph6Error(ValueError):
@@ -70,15 +64,10 @@ def parse_graph6(line: str) -> Graph:
         if int(body[-1]) & ((1 << pad) - 1):
             raise Graph6Error("nonzero padding bits")
     bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()[:nbits]
-    if n > TRACE_MAX_VERTICES:  # no n x n matrix: bit k is x(i, j), j(j-1)/2 <= k < j(j+1)/2
-        k = np.flatnonzero(bits)
-        col = np.arange(n)
-        starts = col * (col - 1) // 2
-        j = np.searchsorted(starts, k, side="right") - 1
-        return Graph.from_edges(n, zip((k - starts[j]).tolist(), j.tolist()))
-    low = np.zeros((n, n), np.uint8)
-    low[_TRIANGLES[n] if n < len(_TRIANGLES) else np.tri(n, k=-1, dtype=bool)] = bits
-    return Graph._from_matrix(low | low.T)
+    k = np.flatnonzero(bits)  # bit k is x(i, j) for the j with j(j-1)/2 <= k < j(j+1)/2
+    starts = np.arange(n) * (np.arange(n) - 1) // 2
+    j = np.searchsorted(starts, k, side="right") - 1
+    return Graph._from_pairs(n, k - starts[j], j)
 
 
 def write_graph6(g: Graph) -> str:

@@ -1,10 +1,9 @@
-"""Immutable simple undirected graphs: adjacency bitsets plus the one uint8
-matrix they were validated on in numpy, which every dense kernel reads."""
+"""Immutable simple undirected graphs: adjacency bitsets plus one validated uint8 matrix."""
 
 from __future__ import annotations
 
 import io
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Iterator
 
@@ -39,41 +38,34 @@ class Graph:
     ``adj[i]`` is an integer bitmask whose bit ``j`` is set iff ``{i, j}`` is
     an edge.  The relation must be symmetric with an empty diagonal; both are
     validated at construction.  ``label`` is carried for reporting only and
-    does not take part in equality.
-
-    ``matrix`` is the read-only uint8 adjacency matrix, None above
-    TRACE_MAX_VERTICES.  A caller holding the unpacked ``adj`` may pass it in.
+    does not take part in equality.  ``matrix`` is the read-only uint8
+    adjacency matrix that validation unpacks, None above TRACE_MAX_VERTICES.
     """
 
     n: int
     adj: tuple[int, ...]
     label: str = field(default="", compare=False)
-    matrix: InitVar[np.ndarray | None] = None
+    matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self, matrix: np.ndarray | None) -> None:
+    def __post_init__(self) -> None:
         if self.n < 0:
             raise GraphError("vertex count must be non-negative")
         if len(self.adj) != self.n:
             raise GraphError("adjacency length does not match vertex count")
-        # Each row is range-checked before it is unpacked; reading its diagonal
-        # bit in the same pass keeps the diagnostics in row order.
+        # Range and diagonal are checked per row before unpacking, in row order.
         for i, row in enumerate(self.adj):
             if row >> self.n:
                 raise GraphError(f"vertex {i}: neighbour index out of range")
             if (row >> i) & 1:
                 raise GraphError(f"vertex {i}: self loop")
         if self.n <= TRACE_MAX_VERTICES:
-            a = unpack_rows(self.adj, self.n) if matrix is None else matrix
+            a = unpack_rows(self.adj, self.n)
             a.flags.writeable = False
             object.__setattr__(self, "matrix", a)
-            one_way = np.argwhere(a > a.T)
-        else:  # no n x n matrix: the set bits, unpacked in blocks of rows
-            step = TRACE_MAX_VERTICES**2 // self.n
-            ij = np.concatenate([
-                np.argwhere(unpack_rows(self.adj[s : s + step], self.n)) + (s, 0)
-                for s in range(0, self.n, step)
-            ])
-            one_way = ij[~np.isin(ij[:, 1] * self.n + ij[:, 0], ij[:, 0] * self.n + ij[:, 1])]
+            one_way = np.argwhere(a > a.T) if (a > a.T).any() else ()
+        else:  # no n x n matrix: each set bit is checked against its mirror
+            one_way = [(i, j) for i, row in enumerate(self.adj) for j in bit_indices(row)
+                       if not (self.adj[j] >> i) & 1]
         if len(one_way):
             raise GraphError(f"adjacency not symmetric at ({one_way[0][0]}, {one_way[0][1]})")
 
@@ -91,10 +83,14 @@ class Graph:
         return Graph(n, tuple(rows), label)
 
     @staticmethod
-    def _from_matrix(a: np.ndarray) -> "Graph":
-        """The graph of a symmetric 0/1 uint8 matrix, which it keeps."""
+    def _from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> "Graph":
+        """The graph with edges {i[k], j[k]}, given as valid index arrays."""
+        if n > TRACE_MAX_VERTICES:
+            return Graph.from_edges(n, zip(i.tolist(), j.tolist()))
+        a = np.zeros((n, n), np.uint8)
+        a[i, j] = a[j, i] = 1
         packed = np.packbits(a, axis=1, bitorder="little")
-        return Graph(len(a), tuple(map(int.from_bytes, packed, repeat("little"))), matrix=a)
+        return Graph(n, tuple(map(int.from_bytes, packed, repeat("little"))))
 
     @property
     def m(self) -> int:
@@ -144,15 +140,13 @@ def parse_edge_list(text: str) -> Graph:
         # One C-level pass that keeps no token list: numpy int()s each line into a
         # pair.  Three tokens raise; a lone token fills both ends, which fails below.
         ends = np.fromiter(filter(None, map(str.split, lines)), np.dtype((np.int64, 2)))
-        valid = 0 <= ends.min(initial=0) and ends.max(initial=-1) < n
-        valid = valid and not (ends[:, 0] == ends[:, 1]).any()
     except (ValueError, OverflowError):  # a malformed token, or one past int64
-        valid = False
-    if valid:
-        a = np.zeros((n, n), np.uint8)
-        a[ends[:, 0], ends[:, 1]] = a[ends[:, 1], ends[:, 0]] = 1
-        return Graph._from_matrix(a)
+        ends = None
+    if ends is not None and 0 <= ends.min(initial=0) and ends.max(initial=-1) < n:
+        if not (ends[:, 0] == ends[:, 1]).any():
+            return Graph._from_pairs(n, ends[:, 0], ends[:, 1])
     # Some edge line failed the checks: read the lines one by one to name the first.
+    edges = []
     for lineno, ln in enumerate(text.split("\n")[head_no:], start=head_no + 1):
         if not (parts := ln.split()):
             continue
@@ -164,6 +158,8 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphError(f"line {lineno}: edge ({i}, {j}): vertex index out of range for n={n}")
         if i == j:
             raise GraphError(f"line {lineno}: edge ({i}, {j}): self loop")
+        edges.append((i, j))
+    return Graph.from_edges(n, edges)
 
 
 def is_connected(g: Graph) -> bool:

@@ -2,9 +2,8 @@
 
 Eigenpairs come from LAPACK (``numpy.linalg.eigh``).  Energy is the trace norm
 of A, so sqrt(n) times the residual ||A V - V Lambda||_F that a Spectrum carries
-bounds the energy error of the computed spectrum.  Every dense kernel reads
-the uint8 matrix the graph was validated on, and refuses graphs above
-TRACE_MAX_VERTICES, which carry no matrix.
+bounds the energy error of the computed spectrum.  Every dense kernel reads the
+graph's stored uint8 matrix and refuses graphs above TRACE_MAX_VERTICES.
 """
 
 from __future__ import annotations

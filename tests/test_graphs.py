@@ -135,6 +135,42 @@ def test_graph_above_vertex_cap_builds_no_dense_matrix():
     assert peak < n * n // 2
 
 
+def test_graph_far_above_vertex_cap_is_validated_from_its_set_bits():
+    # Validation there reads only set bits, so a sparse graph past 2048**2 builds.
+    n = TRACE_MAX_VERTICES**2 + 1
+    g = me.Graph.from_edges(n, [(0, n - 1)])
+    assert g.matrix is None and g.m == 1
+    with pytest.raises(me.Graph6Error, match="graph too large to encode"):
+        me.write_graph6(g)
+
+
+def test_asymmetry_above_vertex_cap_names_the_first_pair():
+    n = TRACE_MAX_VERTICES + 1
+    adj = [0] * n
+    adj[3], adj[n - 1], adj[7] = 1 << (n - 1), 1 << 3, 1 << 2
+    with pytest.raises(GraphError, match="adjacency not symmetric at \\(7, 2\\)"):
+        me.Graph(n, tuple(adj))
+
+
+def test_matrix_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        me.Graph(2, (0, 0), matrix=np.ones((2, 2), np.uint8))
+    g = me.Graph(2, (2, 1))
+    assert g.matrix.tolist() == [[0, 1], [1, 0]]
+
+
+def test_parse_edge_list_slow_path_builds_the_graph(monkeypatch):
+    """If the vectorised pass gives up, the per-line loop still returns the graph."""
+    text = "n 4\n0 1\n\n+2 1\n3 2\n"
+
+    def give_up(*args, **kwargs):
+        raise ValueError("forced")
+
+    expected = me.parse_edge_list(text)
+    monkeypatch.setattr(graphs.np, "fromiter", give_up)
+    assert me.parse_edge_list(text) == expected == me.Graph.from_edges(4, [(0, 1), (2, 1), (3, 2)])
+
+
 def test_parse_edge_list():
     g = me.parse_edge_list("n 5\n0 1\n1 2\n\n2 3\n")
     assert (g.n, g.m) == (5, 3)
