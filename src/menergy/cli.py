@@ -25,7 +25,7 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Iterator, TextIO
 
 from .families import FamilyError, generate_from_string
@@ -234,6 +234,7 @@ def cmd_generate(args: argparse.Namespace, sink: TextIO) -> int:
     return 0
 
 
+@cache  # one parser per process: built by the first main() call, shared by later ones
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="menergy",

@@ -64,7 +64,7 @@ def detect_complete(g: Graph) -> bool:
     return g.n >= 1 and g.m == g.n * (g.n - 1) // 2
 
 
-def detect_srg(g: Graph) -> tuple[int, int, int, int] | None:
+def detect_srg(g: Graph, codegree: np.ndarray | None = None) -> tuple[int, int, int, int] | None:
     """Parameters (n, d, lambda, mu) if g is strongly regular, else None.
 
     Requires regularity, a constant common-neighbour count over adjacent
@@ -76,7 +76,7 @@ def detect_srg(g: Graph) -> tuple[int, int, int, int] | None:
     d = is_regular(g)
     if d is None:
         return None
-    c = codegree_matrix(g)
+    c = codegree_matrix(g) if codegree is None else codegree
     adjacent = g.matrix.astype(bool)
     apart = ~adjacent
     np.fill_diagonal(apart, False)
@@ -87,7 +87,9 @@ def detect_srg(g: Graph) -> tuple[int, int, int, int] | None:
     return (g.n, d, int(lams[0]), int(mus[0]))
 
 
-def detect_design_incidence(g: Graph) -> tuple[int, int, int] | None:
+def detect_design_incidence(
+    g: Graph, codegree: np.ndarray | None = None
+) -> tuple[int, int, int] | None:
     """Parameters (v, k, lambda) if g is the incidence graph of a symmetric design.
 
     Recognised shape: bipartite with equal part sizes v, every degree k >= 1,
@@ -112,7 +114,7 @@ def detect_design_incidence(g: Graph) -> tuple[int, int, int] | None:
     side[list(right)] = True
     same_part = side[:, None] == side[None, :]
     np.fill_diagonal(same_part, False)
-    lams = np.unique(codegree_matrix(g)[same_part])
+    lams = np.unique((codegree_matrix(g) if codegree is None else codegree)[same_part])
     if len(lams) > 1:
         return None
     lam = int(lams[0]) if len(lams) else 0
@@ -144,6 +146,7 @@ def classify_equality(
     energy_value: float,
     bound: float,
     spectrum: Spectrum | None = None,
+    codegree: np.ndarray | None = None,
 ) -> EqualityClass:
     """Decide whether the bound is attained and, if so, by which family.
 
@@ -160,10 +163,10 @@ def classify_equality(
         return EqualityClass("TightUnclassified", (), member)
     if detect_complete(g):
         return EqualityClass("Complete", (), member)
-    design = detect_design_incidence(g)
+    design = detect_design_incidence(g, codegree)
     if design is not None:
         return EqualityClass("DesignIncidence", design, member)
-    srg = detect_srg(g)
+    srg = detect_srg(g, codegree)
     if srg is not None and srg[2] == srg[3]:
         return EqualityClass("SrgEqualParams", srg, member)
     warnings.warn(

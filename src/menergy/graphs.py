@@ -62,7 +62,7 @@ class Graph:
             a = unpack_rows(self.adj, self.n)
             a.flags.writeable = False
             object.__setattr__(self, "matrix", a)
-            one_way = np.argwhere(a > a.T) if (a > a.T).any() else ()
+            one_way = np.argwhere(a > a.T)
         else:  # no n x n matrix: each set bit is checked against its mirror
             one_way = [(i, j) for i, row in enumerate(self.adj) for j in bit_indices(row)
                        if not (self.adj[j] >> i) & 1]
@@ -113,12 +113,37 @@ class Graph:
                 yield i, i + 1 + k
 
 
+def _edge_pairs(body: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The endpoints in an ASCII edge-list body, or None where the line loop must read it.
+
+    Accepted: only digits and " \\t\\r\\n", 0 or 2 tokens per line, at most 4 digits a token
+    (every index below TRACE_MAX_VERTICES fits), endpoints below n and no self loop.
+    """
+    raw = f" {body} ".encode("ascii")
+    refused = len(raw) >= 2**31 or raw.translate(None, b"0123456789 \t\r\n")  # int32 offsets
+    v = np.frombuffer(raw, np.uint8) - 48  # digits 0-9; blanks wrap to 217 and up, "\n" to 218
+    bounds = np.flatnonzero(np.diff(v < 10)).astype(np.int32)  # int32 halves the token arrays
+    first, size = bounds[0::2], bounds[1::2] - bounds[0::2]  # the byte before a token; its length
+    # Tokens per line: differences of the token counts before each newline, each 0 or 2.
+    count = np.diff(np.searchsorted(first, np.flatnonzero(v == 218)), prepend=0, append=len(first))
+    if refused or size.max(initial=0) > 4 or (count * (count - 2)).any():
+        return None
+    ends = v[first + 1].astype(np.int32)
+    for k in range(2, size.max(initial=0) + 1):  # Horner; take() clips past the last byte
+        np.add(10 * ends, v.take(first + k, mode="clip"), out=ends, where=size >= k)
+    if ends.max(initial=-1) >= n or (ends[0::2] == ends[1::2]).any():
+        return None
+    return ends[0::2], ends[1::2]
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the line-oriented edge-list format.
 
     The first non-empty line is ``n <count>``; every following non-empty line
     is an edge ``i j`` with 0-based endpoints.  Duplicate edges collapse.
     Lines end at ``\n`` only.  Diagnostics name the 1-based line number.
+    The body is tokenized in numpy from its bytes; what that refuses is read line by
+    line with ``int``, to name the first bad line or accept ``+1``, ``0_7`` or ``00007``.
     """
     lines = io.StringIO(text, newline="\n")
     for head_no, line in enumerate(lines, start=1):
@@ -136,18 +161,11 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphError(f"line {head_no}: vertex count must be non-negative")
     if n > TRACE_MAX_VERTICES:
         raise GraphError(f"line {head_no}: n={n} exceeds the dense-matrix cap {TRACE_MAX_VERTICES}")
-    try:
-        # One C-level pass that keeps no token list: numpy int()s each line into a
-        # pair.  Three tokens raise; a lone token fills both ends, which fails below.
-        ends = np.fromiter(filter(None, map(str.split, lines)), np.dtype((np.int64, 2)))
-    except (ValueError, OverflowError):  # a malformed token, or one past int64
-        ends = None
-    if ends is not None and 0 <= ends.min(initial=0) and ends.max(initial=-1) < n:
-        if not (ends[:, 0] == ends[:, 1]).any():
-            return Graph._from_pairs(n, ends[:, 0], ends[:, 1])
-    # Some edge line failed the checks: read the lines one by one to name the first.
+    body = lines.read()
+    if body.isascii() and (ends := _edge_pairs(body, n)) is not None:
+        return Graph._from_pairs(n, *ends)
     edges = []
-    for lineno, ln in enumerate(text.split("\n")[head_no:], start=head_no + 1):
+    for lineno, ln in enumerate(body.split("\n"), start=head_no + 1):
         if not (parts := ln.split()):
             continue
         try:

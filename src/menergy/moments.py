@@ -10,7 +10,7 @@ two independent routes that must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -56,12 +56,11 @@ def codegree_matrix(g: Graph) -> np.ndarray:
     return (a @ a).astype(np.int64)
 
 
-def _quad_count_checked(g: Graph, zagreb: int, m: int, t4: int) -> int:
-    c = codegree_matrix(g)
-    np.fill_diagonal(c, 0)
+def _quad_count_checked(c: np.ndarray, zagreb: int, m: int, t4: int) -> int:
     # Sum over unordered pairs of C(c, 2): c*(c-1) is twice C(c, 2), and the
-    # ordered pairs visit each unordered pair twice.
-    pair_sum = int((c * (c - 1)).sum()) // 4
+    # ordered pairs off the diagonal visit each unordered pair twice.
+    twice = c * (c - 1)
+    pair_sum = int(twice.sum() - twice.trace()) // 4
     if pair_sum % 2:
         raise MomentMismatchError("common-neighbour pair sum must be even")
     q = pair_sum // 2
@@ -86,7 +85,7 @@ def count_quadrilaterals(g: Graph) -> int:
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Exact integer moment data for one graph."""
+    """Exact integer moment data for one graph, with the codegree matrix it was counted from."""
 
     n: int
     m: int
@@ -97,6 +96,7 @@ class MomentSummary:
     quad_count: int
     m2: int
     m4: int
+    codegree: np.ndarray = field(repr=False, compare=False)
 
 
 def moment_summary(g: Graph) -> MomentSummary:
@@ -106,7 +106,9 @@ def moment_summary(g: Graph) -> MomentSummary:
     """
     st = degree_stats(g)
     traces = trace_moments(g, 4)
-    q = _quad_count_checked(g, st.zagreb, st.edge_count, traces[4])
+    c = codegree_matrix(g)
+    c.flags.writeable = False  # shared with the equality detectors through the summary
+    q = _quad_count_checked(c, st.zagreb, st.edge_count, traces[4])
     m2 = 2 * st.edge_count
     m4 = 2 * st.zagreb - 2 * st.edge_count + 8 * q
     if m2 != traces[2] or m4 != traces[4]:
@@ -121,6 +123,7 @@ def moment_summary(g: Graph) -> MomentSummary:
         quad_count=q,
         m2=m2,
         m4=m4,
+        codegree=c,
     )
 
 

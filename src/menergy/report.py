@@ -57,7 +57,7 @@ def analyze_graph(g: Graph) -> BoundReport:
     bound = best_quartic_bound(scaled)
     degree = is_regular(g)
     vd = van_dam_bound(g.n, degree) if degree is not None and degree >= 1 and g.n >= 2 else None
-    classification = classify_equality(g, scaled, energy_value, bound, spectrum=spec)
+    classification = classify_equality(g, scaled, energy_value, bound, spec, summary.codegree)
     return BoundReport(
         summary=summary,
         scaled=scaled,

@@ -48,7 +48,7 @@ def eigenvalues(g: Graph) -> Spectrum:
     a = dense_adjacency(g)
     vals, vecs = np.linalg.eigh(a)
     residual = float(np.linalg.norm(a @ vecs - vecs * vals))
-    return Spectrum(tuple(float(v) for v in vals[::-1]), residual)
+    return Spectrum(tuple(vals[::-1].tolist()), residual)
 
 
 def energy(g: Graph) -> float:

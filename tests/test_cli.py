@@ -1,5 +1,6 @@
 """Command-line behaviour: formats, determinism, diagnostics, exit codes."""
 
+import argparse
 import csv
 import dataclasses
 import io
@@ -11,6 +12,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -650,6 +652,41 @@ def test_separator_bytes_inside_graph6_are_rejected(capsys, tmp_path):
 
 # ---------------------------------------------------------------------------
 # console entry point
+
+
+@pytest.fixture
+def fresh_parser():
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def test_parser_is_built_once_for_repeated_main_calls(fresh_parser, monkeypatch, capsys):
+    built = []
+
+    class Counting(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    # Only the CLI module sees the counting class; argparse keeps its own name.
+    monkeypatch.setattr(cli, "argparse", SimpleNamespace(ArgumentParser=Counting))
+    outputs = [run_cli(["analyze", "--gen", "petersen"], capsys) for _ in range(3)]
+    assert built.count("menergy") == 1
+    assert outputs[0][0] == 0 and outputs == [outputs[0]] * 3
+
+
+def test_reused_parser_survives_a_usage_error(fresh_parser, capsys):
+    first = run_cli(["analyze", "--gen", "petersen"], capsys)
+    parser = cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--gen", "petersen", "--format", "xml"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run_cli(["sweep", "--gen", "petersen", "--max-degree", "4"], capsys)[0] == 0
+    # Options of earlier calls do not leak into later ones.
+    assert run_cli(["analyze", "--gen", "petersen"], capsys) == first
+    assert cli.build_parser() is parser
 
 
 @pytest.mark.parametrize(

@@ -220,3 +220,25 @@ def test_classification_total_over_corpus(spec):
         "NotTight",
         "TightUnclassified",
     }
+
+
+@pytest.mark.parametrize(
+    "spec,expected",
+    [("rook:4", "SrgEqualParams(16,6,2,2)"), ("heawood", "DesignIncidence(7,3,1)"),
+     ("projective:7", "DesignIncidence(57,8,1)")],
+)
+def test_analysis_multiplies_the_codegree_matrix_once(spec, expected, monkeypatch):
+    # Tight strongly regular and design graphs reach a detector after the
+    # moment summary; both read the summary's matrix instead of recomputing it.
+    calls = []
+
+    def counted(g):
+        calls.append(g.n)
+        return me.codegree_matrix(g)
+
+    monkeypatch.setattr(me.moments, "codegree_matrix", counted)
+    monkeypatch.setattr(me.extremal, "codegree_matrix", counted)
+    report = me.analyze_graph(me.generate_from_string(spec))
+    assert str(report.classification) == expected
+    assert len(calls) == 1
+    assert not report.summary.codegree.flags.writeable

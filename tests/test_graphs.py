@@ -160,15 +160,41 @@ def test_matrix_is_not_a_constructor_argument():
 
 
 def test_parse_edge_list_slow_path_builds_the_graph(monkeypatch):
-    """If the vectorised pass gives up, the per-line loop still returns the graph."""
-    text = "n 4\n0 1\n\n+2 1\n3 2\n"
-
-    def give_up(*args, **kwargs):
-        raise ValueError("forced")
-
+    """If the byte tokenizer gives up, the per-line loop still returns the graph."""
+    text = "n 4\n0 1\n\n2 1\n3 2\n"
     expected = me.parse_edge_list(text)
-    monkeypatch.setattr(graphs.np, "fromiter", give_up)
+    monkeypatch.setattr(graphs, "_edge_pairs", lambda body, n: None)
     assert me.parse_edge_list(text) == expected == me.Graph.from_edges(4, [(0, 1), (2, 1), (3, 2)])
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "+2 1\n", "0_1 2\n", "00007 1\n", "1 2 3\n", "1\n2\n", "1 2\n3\n", "1\x0b2\n",
+        "1\x1c2\n", "2 2\n", "8 1\n",
+    ],
+)
+def test_byte_tokenizer_leaves_odd_input_to_the_line_loop(body):
+    assert graphs._edge_pairs(body, 8) is None
+
+
+def test_byte_tokenizer_reads_blanks_crlf_and_leading_zeros():
+    # The body ends without a newline on a token two digits shorter than the widest.
+    i, j = graphs._edge_pairs("\t0 1\r\n\n  0002\t\t7 \r\n\r\n6 0003\n123 4", 200)
+    assert list(zip(i.tolist(), j.tolist())) == [(0, 1), (2, 7), (6, 3), (123, 4)]
+
+
+def test_parse_edge_list_peak_memory_stays_small():
+    g = me.generate_from_string("gnp:160:0.5:1")
+    text = f"n {g.n}\n" + "".join(f"{i} {j}\n" for i, j in g.edges())
+    tracemalloc.start()
+    try:
+        parsed = me.parse_edge_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == g
+    assert peak <= 1_000_000
 
 
 def test_parse_edge_list():

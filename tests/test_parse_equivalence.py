@@ -4,12 +4,15 @@ Each property draws input, runs the package and the reference, and requires
 the same graph or the same exception type with the same message.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import menergy as me
 from menergy.graph6 import Graph6Error
+from menergy.graphs import TRACE_MAX_VERTICES, _edge_pairs
 
 from conftest import reference_parse_edge_list, reference_parse_graph6, reference_validate
 
@@ -186,3 +189,68 @@ def test_validation_above_vertex_cap_matches_reference(bits):
         rows[i] |= 1 << j
     adj = tuple(rows)
     assert outcome(constructed, 3000, adj) == outcome(reference_constructed, 3000, adj)
+
+
+PAD_ASCII = st.sampled_from(["", "", "", " ", "\t", "\r"])
+
+
+@st.composite
+def wide_edge_list_text(draw):
+    """Edge lists on up to TRACE_MAX_VERTICES vertices, where tokens run to 4 digits.
+
+    Tokens carry up to 4 leading zeros, so some pass 4 digits; lines end in
+    LF or CRLF and are split by spaces or tabs, with blank lines between
+    them.  Some inputs lack the final newline, name vertex n, end on a self
+    loop or hold the non-ASCII blank U+2003, which str.split() takes as a
+    separator.
+    """
+    n = draw(st.integers(1, TRACE_MAX_VERTICES))
+    vertex = st.integers(0, n - 1)
+    zeros = draw(st.sampled_from([0, 0, 1, 2, 4]))  # leading zeros per token, at most
+
+    def rare():
+        return not draw(st.integers(0, 7))
+
+    def token(value):
+        return "0" * draw(st.integers(0, zeros)) + str(value)
+
+    def line(i, j):
+        gap = draw(st.sampled_from([" ", " ", "\t", "  ", " \t "]))
+        return draw(PAD_ASCII) + token(i) + gap + token(j) + draw(PAD_ASCII)
+
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        i, j = draw(vertex), draw(vertex)
+        lines.append(line(i, j) if i != j else "")
+    if rare():
+        lines.insert(draw(st.integers(0, len(lines))), line(n, draw(vertex)))
+    if rare():
+        i = draw(vertex)
+        lines.append(line(i, i))
+    if rare():
+        k = draw(st.integers(0, len(lines)))
+        lines.insert(k, f"{token(draw(vertex))}\u2003{token(draw(vertex))}")
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n"])) for _ in lines]
+    body = "".join(ln + end for ln, end in zip(lines, ends))
+    if rare() and body:
+        body = body.rstrip("\r\n")
+    return f"n {n}\n" + body
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_edge_list_text())
+def test_wide_edge_list_parser_matches_reference(text):
+    got = outcome(lambda t: as_rows(me.parse_edge_list(t)), text)
+    assert got == outcome(reference_parse_edge_list, text)
+
+
+def test_random_edge_list_at_the_vertex_cap_matches_reference():
+    rng = random.Random(2048)
+    n = TRACE_MAX_VERTICES
+    pairs = {tuple(rng.sample(range(n), 2)) for _ in range(5000)}
+    body = "".join(f"{i} {j}\n" for i, j in sorted(pairs))
+    # Every index fits in 4 digits, so the byte tokenizer reads all of it.
+    assert _edge_pairs(body, n) is not None
+    g = me.parse_edge_list(f"n {n}\n" + body)
+    assert as_rows(g) == reference_parse_edge_list(f"n {n}\n" + body)
+    assert g == me.Graph.from_edges(n, pairs)
