@@ -31,13 +31,11 @@ class EqualityClass:
 
     tag is one of Complete, SrgEqualParams, DesignIncidence, NotTight,
     TightUnclassified; params carries (n, d, lambda, mu) for strongly regular
-    graphs and (v, k, lambda) for design incidence graphs.  spectrum_ok
-    records whether every eigenvalue sits in the two-level tangency set.
+    graphs and (v, k, lambda) for design incidence graphs.
     """
 
     tag: str
     params: tuple[int, ...] = ()
-    spectrum_ok: bool = False
 
     def __str__(self) -> str:
         if self.params:
@@ -141,12 +139,7 @@ def design_spectrum(v: int, k: int, lam: int) -> tuple[tuple[float, float], ...]
 
 
 def classify_equality(
-    g: Graph,
-    sm: ScaledMoments | None,
-    energy_value: float,
-    bound: float,
-    spectrum: Spectrum | None = None,
-    codegree: np.ndarray | None = None,
+    g: Graph, energy_value: float, bound: float, codegree: np.ndarray | None = None
 ) -> EqualityClass:
     """Decide whether the bound is attained and, if so, by which family.
 
@@ -158,19 +151,18 @@ def classify_equality(
     """
     if abs(bound - energy_value) > TIGHTNESS_RTOL * max(1.0, energy_value):
         return EqualityClass("NotTight")
-    member = spectrum_membership(g, sm, spectrum) if sm is not None else False
     if g.n < 2 or not is_connected(g):
-        return EqualityClass("TightUnclassified", (), member)
+        return EqualityClass("TightUnclassified")
     if detect_complete(g):
-        return EqualityClass("Complete", (), member)
+        return EqualityClass("Complete")
     design = detect_design_incidence(g, codegree)
     if design is not None:
-        return EqualityClass("DesignIncidence", design, member)
+        return EqualityClass("DesignIncidence", design)
     srg = detect_srg(g, codegree)
     if srg is not None and srg[2] == srg[3]:
-        return EqualityClass("SrgEqualParams", srg, member)
+        return EqualityClass("SrgEqualParams", srg)
     warnings.warn(
         f"bound is tight but the graph (n={g.n}, m={g.m}) matches no known equality family",
         stacklevel=2,
     )
-    return EqualityClass("TightUnclassified", (), member)
+    return EqualityClass("TightUnclassified")

@@ -177,17 +177,18 @@ def disjoint_union(graphs: list[Graph], label: str = "") -> Graph:
     return Graph.from_edges(total, edges, label=label)
 
 
-_ARITIES = {
-    "complete": 1,
-    "cycle": 1,
-    "path": 1,
-    "star": 1,
-    "bipartite": 2,
-    "petersen": 0,
-    "heawood": 0,
-    "rook": 1,
-    "projective": 1,
-    "gnp": 3,
+# kind -> (builder, number of parameters); union is handled by the grammar itself.
+_FAMILIES = {
+    "complete": (complete, 1),
+    "cycle": (cycle, 1),
+    "path": (path, 1),
+    "star": (star, 1),
+    "bipartite": (complete_bipartite, 2),
+    "petersen": (petersen, 0),
+    "heawood": (heawood, 0),
+    "rook": (rook, 1),
+    "projective": (projective_plane_incidence, 1),
+    "gnp": (random_gnp, 3),
 }
 
 
@@ -210,10 +211,11 @@ def parse_family_spec(text: str) -> FamilySpec:
     fields = t.split(":")
     kind = fields[0]
     args = fields[1:]
-    if kind not in _ARITIES:
+    if kind not in _FAMILIES:
         raise FamilyError(f"unknown family {kind!r}")
-    if len(args) != _ARITIES[kind]:
-        raise FamilyError(f"{kind} takes {_ARITIES[kind]} parameter(s), got {len(args)}")
+    arity = _FAMILIES[kind][1]
+    if len(args) != arity:
+        raise FamilyError(f"{kind} takes {arity} parameter(s), got {len(args)}")
     try:
         if kind == "gnp":
             params: tuple = (int(args[0]), float(args[1]), int(args[2]))
@@ -229,21 +231,9 @@ def generate(spec: FamilySpec) -> Graph:
     if spec.kind == "union":
         graphs = [generate(part) for part in spec.parts]
         return disjoint_union(graphs, label=str(spec))
-    builders = {
-        "complete": complete,
-        "cycle": cycle,
-        "path": path,
-        "star": star,
-        "bipartite": complete_bipartite,
-        "petersen": petersen,
-        "heawood": heawood,
-        "rook": rook,
-        "projective": projective_plane_incidence,
-        "gnp": random_gnp,
-    }
-    if spec.kind not in builders:
+    if spec.kind not in _FAMILIES:
         raise FamilyError(f"unknown family {spec.kind!r}")
-    return builders[spec.kind](*spec.params)
+    return _FAMILIES[spec.kind][0](*spec.params)
 
 
 def generate_from_string(text: str) -> Graph:

@@ -56,8 +56,8 @@ def analyze_graph(g: Graph) -> BoundReport:
     tangency, clamped = optimal_tangency(scaled)
     bound = best_quartic_bound(scaled)
     degree = is_regular(g)
-    vd = van_dam_bound(g.n, degree) if degree is not None and degree >= 1 and g.n >= 2 else None
-    classification = classify_equality(g, scaled, energy_value, bound, spec, summary.codegree)
+    vd = van_dam_bound(g.n, degree) if degree is not None else None
+    classification = classify_equality(g, energy_value, bound, summary.codegree)
     return BoundReport(
         summary=summary,
         scaled=scaled,

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import menergy.cli as cli
 from menergy.cli import ANALYZE_COLUMNS, SWEEP_COLUMNS, main
+from menergy.report import SOUNDNESS_RTOL
 from menergy.spectral import TRACE_MAX_VERTICES
 
 
@@ -173,6 +174,28 @@ def test_fail_on_violation_exit_code(monkeypatch, capsys):
     assert "1 soundness violation(s)" in err
     # The report is still emitted; the exit code is the alarm.
     assert out.startswith("n,m,")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="float certification accepts a degree-14 polynomial that undercuts |x| at an "
+    "eigenvalue of FFj??; certificates must become exact (ROADMAP item 1)",
+)
+def test_sweep_of_ffj_to_degree_fourteen_is_sound(tmp_path, capsys):
+    # 7 vertices, 7 edges, energy 2 + 4*sqrt(2); the degree-14 upper bound
+    # prints as 7.6568518357 with upper_certified=true.
+    path = tmp_path / "ffj.g6"
+    path.write_text("FFj??\n")
+    code, out, _ = run_cli(
+        ["sweep", "--in", str(path), "--max-degree", "14", "--fail-on-violation"], capsys
+    )
+    header, rows = parse_csv(out)
+    for row in (dict(zip(header, r)) for r in rows):
+        energy = float(row["energy"])
+        if row["upper_certified"] == "true":
+            slack = SOUNDNESS_RTOL * max(1.0, energy)
+            assert float(row["lp_upper"]) >= energy - slack, row["degree"]
+    assert code == 0
 
 
 def test_analyze_refuses_graph_above_vertex_cap(tmp_path, capsys):

@@ -171,8 +171,10 @@ def test_classification_over_corpus(spec, expected):
 
 def test_named_classes_imply_spectrum_membership():
     for spec in ("complete:5", "heawood", "rook:4", "cycle:4", "projective:3"):
-        report = me.analyze_graph(corpus_graph(spec))
-        assert report.classification.spectrum_ok, spec
+        g = corpus_graph(spec)
+        report = me.analyze_graph(g)
+        assert report.classification.tag in ("Complete", "DesignIncidence", "SrgEqualParams"), spec
+        assert me.spectrum_membership(g, report.scaled), spec
 
 
 def test_tight_but_unnamed_warns():
@@ -180,23 +182,18 @@ def test_tight_but_unnamed_warns():
     # rather than silently classify.  Build one artificially by feeding the
     # classifier a tight value for a graph outside every class.
     g = corpus_graph("cycle:7")
-    s = summary_of(g)
-    sm = me.scaled_moments(s)
-    bound = me.best_quartic_bound(sm)
+    bound = me.best_quartic_bound(me.scaled_moments(summary_of(g)))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = me.classify_equality(g, sm, bound, bound)
+        out = me.classify_equality(g, bound, bound)
     assert str(out) == "TightUnclassified"
     assert any("tight" in str(w.message).lower() for w in caught)
 
 
 def test_classify_not_tight_short_circuits():
     g = corpus_graph("petersen")
-    s = summary_of(g)
-    sm = me.scaled_moments(s)
-    out = me.classify_equality(g, sm, 16.0, me.best_quartic_bound(sm))
+    out = me.classify_equality(g, 16.0, me.best_quartic_bound(me.scaled_moments(summary_of(g))))
     assert str(out) == "NotTight"
-    assert not out.spectrum_ok
 
 
 def test_k2_is_complete_not_design():

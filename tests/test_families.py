@@ -3,7 +3,7 @@
 import pytest
 
 import menergy as me
-from menergy.families import FamilyError, HEAWOOD_FIXTURE_EDGES
+from menergy.families import FamilyError, FamilySpec, HEAWOOD_FIXTURE_EDGES
 
 from conftest import spectrum_of, summary_of
 
@@ -175,6 +175,11 @@ def test_union_spectrum_is_component_union():
 def test_spec_grammar_rejects(spec, message):
     with pytest.raises(FamilyError, match=message):
         me.generate_from_string(spec)
+
+
+def test_generate_rejects_hand_built_spec_of_unknown_kind():
+    with pytest.raises(FamilyError, match="unknown family"):
+        me.generate(FamilySpec("frob", (3,)))
 
 
 def test_spec_round_trip():

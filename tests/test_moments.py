@@ -1,11 +1,14 @@
 """Combinatorial moment formulas against enumeration oracles."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import menergy as me
-from menergy.moments import NoEdgesError
+from menergy.moments import MomentMismatchError, MomentSummary, NoEdgesError
 
 from conftest import (
     CORPUS_SPECS,
@@ -18,9 +21,8 @@ from conftest import (
 
 def test_degree_stats():
     s = me.degree_stats(corpus_graph("star:4"))
-    assert s.degrees == (4, 1, 1, 1, 1)
     assert s.edge_count == 4
-    assert (s.max_degree, s.min_degree) == (4, 1)
+    assert s.max_degree == 4
     assert s.zagreb == 16 + 4
 
 
@@ -82,6 +84,21 @@ def test_scaled_triple_ordering(spec):
     assert sm.m4_scaled <= sm.m2_scaled + 1e-12 * max(1.0, sm.m0_scaled)
     assert sm.m2_scaled <= sm.m0_scaled + 1e-12 * max(1.0, sm.m0_scaled)
     assert sm.m4_scaled > 0
+
+
+def test_scaled_moments_rejects_an_ordering_broken_by_one():
+    # M4 = D^2*M2 + 1 breaks m4_scaled <= m2_scaled by 1e-9 in 2000, which a
+    # float check with 1e-12 * m0_scaled slack lets through.
+    d, n, m2 = 1000, 2000, 2_000_000
+    s = MomentSummary(
+        n=n, m=m2 // 2, max_degree=d, zagreb=0, quad_count=0, m2=m2, m4=d * d * m2 + 1,
+        codegree=np.zeros((0, 0), dtype=np.int64),
+    )
+    with pytest.raises(MomentMismatchError, match="ordering"):
+        me.scaled_moments(s)
+    me.scaled_moments(dataclasses.replace(s, m4=d * d * m2))
+    with pytest.raises(MomentMismatchError, match="ordering"):
+        me.scaled_moments(dataclasses.replace(s, m4=0, m2=n * d * d + 1))
 
 
 def test_scaled_moments_needs_edges():
