@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import operator
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Iterator
@@ -71,9 +72,10 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]], label: str = "") -> "Graph":
-        """Build a graph from an edge list; duplicate edges collapse."""
+        """Build a graph from integer (numpy too) vertex pairs; duplicate edges collapse."""
         rows = [0] * n
-        for i, j in edges:
+        for edge in edges:
+            i, j = map(operator.index, edge)
             if not (0 <= i < n and 0 <= j < n):
                 raise GraphError(f"edge ({i}, {j}): vertex index out of range for n={n}")
             if i == j:

@@ -16,21 +16,27 @@ rank of their Hankel matrix exactly; a singular one (moments on the boundary
 of the moment space, where the bound is the energy) gives fewer nodes.  The
 certificate is the Hermite interpolant of sqrt: value and slope at interior
 nodes, value only at 0 and 1.  The derivatives of sqrt alternate in sign, so
-the Hermite remainder puts it on the required side of sqrt; it is re-verified
-on the continuous interval all the same.  An upper-bound node at exactly 0
-(an infimum no polynomial attains, as on cycle:4) moves to NODE_FLOOR.
+the Hermite remainder sqrt^(N)(xi) / N! * prod(u - z_i) takes its sign from the
+end nodes (interior ones are doubled), which also fix the parity of N: Gauss and
+right Radau give P >= |x|, Lobatto and left Radau P <= |x|, for any nodes in
+(0, 1].  So nodes move to where sqrt is exact and the certificate is built in
+rationals: proved, not checked.  An upper-bound node at exactly 0 (an infimum no
+polynomial attains, as on cycle:4) moves to NODE_FLOOR.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
 from .graphs import Graph
 from .moments import NoEdgesError, degree_stats
-from .quartic import EvenPolynomial, verify_majorization
-from .quartic import violation_minima  # noqa: F401  (unused; a benchmark tracer hooks this name)
+from .quartic import EvenPolynomial
+from .quartic import verify_majorization, violation_minima  # noqa: F401  (a tracer hooks these)
 from .spectral import trace_moments
 
 MAX_LP_DEGREE = 16
@@ -173,8 +179,8 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """A bound polynomial and its moment contraction; certified only if the
-    continuous majorisation re-check passed.  rounds is always one solve."""
+    """The exact contraction of an exact polynomial, rounded outward, so always certified,
+    and that polynomial rounded to float.  status is always "optimal", rounds 1."""
 
     polynomial: EvenPolynomial
     objective: float
@@ -248,43 +254,39 @@ def _principal_nodes(problem: LpProblem) -> tuple[np.ndarray, tuple[float, ...]]
     return np.maximum(nodes, NODE_FLOOR), ends
 
 
-def _sqrt_interpolant(nodes: np.ndarray, ends: tuple[float, ...], k: int) -> np.ndarray:
-    """Monomial coefficients, padded to degree k, of the Hermite interpolant of sqrt:
-    value and slope at each node, value only at each end.  The Newton form on
-    ascending points keeps the low coefficients accurate next to a slope of 5e5
-    at NODE_FLOOR, where a Chebyshev-basis solve lost 1e-8 (star:9, degree 6)."""
-    z = np.sort(np.concatenate([ends, nodes, nodes]))
-    diffs = np.sqrt(z)
-    newton = [diffs[0]]
-    for order in range(1, len(z)):
-        gap = z[order:] - z[:-order]
-        # Only a node and its copy coincide; their divided difference is the slope.
-        diffs = np.divide(np.diff(diffs), gap, out=0.5 / np.sqrt(z[order:]), where=gap > 0)
+def _sqrt_interpolant(nodes: np.ndarray, ends: tuple[float, ...], k: int) -> list[Fraction]:
+    """Exact monomial coefficients, padded to degree k, of the Hermite interpolant of
+    sqrt: value and slope at each node, value only at each end.  Each point moves
+    to s^2 with s = sqrt(u) rounded, where sqrt is exactly s; a point met more than
+    twice (two nodes, or a node and an end, that round together) keeps two
+    conditions, which leaves the sign of the remainder as it was."""
+    met = Counter(map(math.sqrt, [*ends, *nodes.tolist() * 2]))
+    roots = [Fraction(s) for s in sorted(met) for _ in range(min(met[s], 2))]
+    z = [s * s for s in roots]
+    # f[s_a^2, s_b^2] = 1 / (s_a + s_b), also the slope 1 / (2 s_a) when a = b.
+    diffs = [1 / (a + b) for a, b in zip(roots, roots[1:])]
+    newton = [roots[0]]
+    for order in range(2, len(z) + 1):
         newton.append(diffs[0])
-    y = np.zeros(k + 1)
-    y[0] = newton[-1]
+        diffs = [(b - a) / (z[i + order] - z[i]) for i, (a, b) in enumerate(zip(diffs, diffs[1:]))]
+    y = [newton[-1]] + [Fraction(0)] * k
     for i in range(len(z) - 2, -1, -1):
-        y[1:] = y[:-1] - z[i] * y[1:]
-        y[0] = newton[i] - z[i] * y[0]
+        y = [newton[i] - z[i] * y[0]] + [a - z[i] * b for a, b in zip(y, y[1:])]
     return y
 
 
 def solve_bound_lp(problem: LpProblem) -> LpSolution:
-    """The optimal bound over even polynomials of the given degree, re-verified."""
-    k = problem.degree // 2
+    """The optimal bound over even polynomials of the given degree, proved exactly
+    and rounded outward once."""
     nodes, ends = _principal_nodes(problem)
-    y = _sqrt_interpolant(nodes, ends, k) * problem.scale ** (1.0 - 2 * np.arange(k + 1))
-    poly = EvenPolynomial(tuple(y.tolist()), problem.scale)
-    check = verify_majorization(poly, problem.direction, grid_points=max(1280 * k, 1000))
-    return LpSolution(poly, _contract(problem.moments, poly), "optimal", check.ok, 1)
-
-
-def _contract(moments: tuple[int, ...], poly: EvenPolynomial) -> float:
-    """Pair the coefficients with the even walk counts exactly, rounding once: terms
-    near 1e12 that cancel to the energy undercut it in float sums (gnp:7:0.9:394105)."""
-    ratios = [c.as_integer_ratio() for c in poly.coefficients]
-    den = max(q for _, q in ratios)  # a power of two, as every q is
-    return sum(p * (den // q) * int(m) for (p, q), m in zip(ratios, moments)) / den
+    y = _sqrt_interpolant(nodes, ends, problem.degree // 2)
+    coeffs = [yj * Fraction(problem.scale) ** (1 - 2 * j) for j, yj in enumerate(y)]
+    exact = sum(c * int(m) for c, m in zip(coeffs, problem.moments))
+    bound, up = float(exact), problem.direction == "above"
+    if bound != exact and (bound < exact) == up:
+        bound = math.nextafter(bound, math.inf if up else -math.inf)
+    poly = EvenPolynomial(tuple(map(float, coeffs)), problem.scale)
+    return LpSolution(poly, bound, "optimal", True, 1)
 
 
 @dataclass(frozen=True)
@@ -298,8 +300,8 @@ def bound_sweep(g: Graph, max_degree: int) -> tuple[SweepEntry, ...]:
     """Certified upper and lower bounds for every even degree 2..max_degree.
 
     Each entry keeps the previous degree's polynomial, which lives in every
-    higher-degree space, when the fresh solve is worse or fails verification,
-    so the bounds are monotone by construction.
+    higher-degree space, when the fresh solve is worse, so the bounds are
+    monotone by construction.
     """
     if max_degree < 2 or max_degree % 2 or max_degree > MAX_LP_DEGREE:
         raise ValueError(f"max degree must be even in 2..{MAX_LP_DEGREE}, got {max_degree}")
@@ -312,9 +314,9 @@ def bound_sweep(g: Graph, max_degree: int) -> tuple[SweepEntry, ...]:
         lower = solve_bound_lp(replace(above, direction="below"))
         if entries:
             prev = entries[-1]
-            if not upper.certified or prev.upper.objective < upper.objective:
+            if prev.upper.objective < upper.objective:
                 upper = prev.upper
-            if not lower.certified or prev.lower.objective > lower.objective:
+            if prev.lower.objective > lower.objective:
                 lower = prev.lower
         entries.append(SweepEntry(degree, upper, lower))
     return tuple(entries)

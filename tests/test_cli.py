@@ -176,18 +176,14 @@ def test_fail_on_violation_exit_code(monkeypatch, capsys):
     assert out.startswith("n,m,")
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="float certification accepts a degree-14 polynomial that undercuts |x| at an "
-    "eigenvalue of FFj??; certificates must become exact (ROADMAP item 1)",
-)
 def test_sweep_of_ffj_to_degree_fourteen_is_sound(tmp_path, capsys):
-    # 7 vertices, 7 edges, energy 2 + 4*sqrt(2); the degree-14 upper bound
-    # prints as 7.6568518357 with upper_certified=true.
+    # 7 vertices, 7 edges, energy 2 + 4*sqrt(2).  A float-checked certificate
+    # printed 7.6568518357 at degree 14 with upper_certified=true; the exact
+    # one may not undercut the energy at any degree up to 16.
     path = tmp_path / "ffj.g6"
     path.write_text("FFj??\n")
     code, out, _ = run_cli(
-        ["sweep", "--in", str(path), "--max-degree", "14", "--fail-on-violation"], capsys
+        ["sweep", "--in", str(path), "--max-degree", "16", "--fail-on-violation"], capsys
     )
     header, rows = parse_csv(out)
     for row in (dict(zip(header, r)) for r in rows):

@@ -24,6 +24,15 @@ def test_from_edges_basic():
     assert sorted(g.edges()) == [(0, 1), (1, 2), (2, 3)]
 
 
+def test_from_edges_takes_numpy_integer_endpoints():
+    edges = [(np.int64(0), np.int64(1)), (np.int32(1), 2)]
+    assert me.Graph.from_edges(3, edges) == me.Graph.from_edges(3, [(0, 1), (1, 2)])
+    # 1 << np.int64(65) would wrap to 1 << 1.
+    wide = me.Graph.from_edges(70, [(0, np.int64(65))])
+    assert wide == me.Graph.from_edges(70, [(0, 65)])
+    assert list(wide.edges()) == [(0, 65)]
+
+
 def test_from_edges_collapses_duplicates():
     g = me.Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
     assert g.m == 1

@@ -105,11 +105,6 @@ def test_verify_majorization_below_direction():
     assert not me.verify_majorization(shifted, "below").ok
 
 
-def test_verify_majorization_needs_dense_grid():
-    with pytest.raises(ValueError):
-        me.verify_majorization(me.tangent_quartic(0.5), "above", grid_points=100)
-
-
 def test_bound_from_polynomial_matches_contraction():
     g = corpus_graph("petersen")
     s = summary_of(g)
