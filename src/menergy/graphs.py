@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import io
 import operator
+import re
 from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, Iterator
@@ -147,12 +147,11 @@ def parse_edge_list(text: str) -> Graph:
     The body is tokenized in numpy from its bytes; what that refuses is read line by
     line with ``int``, to name the first bad line or accept ``+1``, ``0_7`` or ``00007``.
     """
-    lines = io.StringIO(text, newline="\n")
-    for head_no, line in enumerate(lines, start=1):
-        if head := line.split():
-            break
-    else:
+    if not (first := re.search(r"\S", text)):  # \S: what str.split() keeps
         raise GraphError("empty edge-list input")
+    start = text.rfind("\n", 0, first.start()) + 1
+    end = len(text) if (end := text.find("\n", start)) < 0 else end
+    head_no, head = text.count("\n", 0, start) + 1, (line := text[start:end]).split()
     if len(head) != 2 or head[0] != "n":
         raise GraphError(f"line {head_no}: malformed header {line.strip()!r}")
     try:
@@ -163,7 +162,7 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphError(f"line {head_no}: vertex count must be non-negative")
     if n > TRACE_MAX_VERTICES:
         raise GraphError(f"line {head_no}: n={n} exceeds the dense-matrix cap {TRACE_MAX_VERTICES}")
-    body = lines.read()
+    body = text[end + 1 :]
     if body.isascii() and (ends := _edge_pairs(body, n)) is not None:
         return Graph._from_pairs(n, *ends)
     edges = []

@@ -11,7 +11,7 @@ sqrt(u) at the nodes of a principal representation of M0, M2, ..., M2k
   left Radau (0 and k/2 interior nodes).
 
 Interior nodes are the Gauss nodes of mu, u mu, (1-u) mu or u(1-u) mu, whose
-moments in t = x^2 units are integers.  Fraction-free elimination decides the
+moments in t = x^2 units are integers.  Integer Bareiss elimination decides the
 rank of their Hankel matrix exactly; a singular one (moments on the boundary
 of the moment space, where the bound is the energy) gives fewer nodes.  The
 certificate is the Hermite interpolant of sqrt: value and slope at interior
@@ -19,9 +19,17 @@ nodes, value only at 0 and 1.  The derivatives of sqrt alternate in sign, so
 the Hermite remainder sqrt^(N)(xi) / N! * prod(u - z_i) takes its sign from the
 end nodes (interior ones are doubled), which also fix the parity of N: Gauss and
 right Radau give P >= |x|, Lobatto and left Radau P <= |x|, for any nodes in
-(0, 1].  So nodes move to where sqrt is exact and the certificate is built in
-rationals: proved, not checked.  An upper-bound node at exactly 0 (an infimum no
+(0, 1].  So nodes move to where sqrt is exact and the certificate is built
+exactly: proved, not checked.  An upper-bound node at exactly 0 (an infimum no
 polynomial attains, as on cycle:4) moves to NODE_FLOOR.
+
+Arithmetic is in integers over one shared denominator.  With s_i = r_i / q (q the
+largest power-of-two denominator) the points in w = q^2 u are w_i = r_i^2, and
+delta = prod_{a<b} (r_a + r_b) > 0 times each divided difference of sqrt there is
+an integer: f[r_0^2, ..., r_n^2] prod_{a<b} (r_b^2 - r_a^2) is alternating in r
+with integer coefficients, so the Vandermonde prod (r_b - r_a) divides it, leaving
+f prod (r_a + r_b) in Z[r] (confluent points by continuity).  So every division
+is exact, and checked, and each float is one correctly rounded int / int.
 """
 
 from __future__ import annotations
@@ -29,7 +37,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -254,38 +261,52 @@ def _principal_nodes(problem: LpProblem) -> tuple[np.ndarray, tuple[float, ...]]
     return np.maximum(nodes, NODE_FLOOR), ends
 
 
-def _sqrt_interpolant(nodes: np.ndarray, ends: tuple[float, ...], k: int) -> list[Fraction]:
-    """Exact monomial coefficients, padded to degree k, of the Hermite interpolant of
-    sqrt: value and slope at each node, value only at each end.  Each point moves
-    to s^2 with s = sqrt(u) rounded, where sqrt is exactly s; a point met more than
-    twice (two nodes, or a node and an end, that round together) keeps two
-    conditions, which leaves the sign of the remainder as it was."""
+def _exact(num: int, den: int) -> int:
+    """num / den, an integer by the argument in the module docstring."""
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise ArithmeticError("a certificate division is not exact")
+    return quotient
+
+
+def _sqrt_interpolant(nodes: np.ndarray, ends: tuple[float, ...], k: int) -> tuple[list[int], int, int]:
+    """Integers (p, q, delta) with sum_j p[j] q^(2j-1) u^j / delta, padded to degree k,
+    the Hermite interpolant of sqrt: value and slope at each node, value only at each
+    end.  Each point moves to s^2 with s = sqrt(u) rounded, where sqrt is exactly s; a
+    point met more than twice (two nodes, or a node and an end, that round together)
+    keeps two conditions, which leaves the sign of the remainder as it was."""
     met = Counter(map(math.sqrt, [*ends, *nodes.tolist() * 2]))
-    roots = [Fraction(s) for s in sorted(met) for _ in range(min(met[s], 2))]
-    z = [s * s for s in roots]
-    # f[s_a^2, s_b^2] = 1 / (s_a + s_b), also the slope 1 / (2 s_a) when a = b.
-    diffs = [1 / (a + b) for a, b in zip(roots, roots[1:])]
-    newton = [roots[0]]
-    for order in range(2, len(z) + 1):
+    ratios = [s.as_integer_ratio() for s in sorted(met) for _ in range(min(met[s], 2))]
+    q = max(d for _, d in ratios)
+    r = [num * (q // d) for num, d in ratios]
+    w = [ri * ri for ri in r]
+    delta = math.prod(a + b for i, a in enumerate(r) for b in r[i + 1 :])
+    # delta * f[w_a, w_b] = delta / (r_a + r_b), also the slope delta / (2 r_a) when a = b.
+    diffs = [_exact(delta, a + b) for a, b in zip(r, r[1:])]
+    newton = [delta * r[0]]
+    for order in range(2, len(w) + 1):
         newton.append(diffs[0])
-        diffs = [(b - a) / (z[i + order] - z[i]) for i, (a, b) in enumerate(zip(diffs, diffs[1:]))]
-    y = [newton[-1]] + [Fraction(0)] * k
-    for i in range(len(z) - 2, -1, -1):
-        y = [newton[i] - z[i] * y[0]] + [a - z[i] * b for a, b in zip(y, y[1:])]
-    return y
+        diffs = [_exact(b - a, w[i + order] - w[i]) for i, (a, b) in enumerate(zip(diffs, diffs[1:]))]
+    p = [newton[-1]] + [0] * k
+    for i in range(len(w) - 2, -1, -1):
+        p = [newton[i] - w[i] * p[0]] + [a - w[i] * b for a, b in zip(p, p[1:])]
+    return p, q, delta
 
 
 def solve_bound_lp(problem: LpProblem) -> LpSolution:
     """The optimal bound over even polynomials of the given degree, proved exactly
     and rounded outward once."""
-    nodes, ends = _principal_nodes(problem)
-    y = _sqrt_interpolant(nodes, ends, problem.degree // 2)
-    coeffs = [yj * Fraction(problem.scale) ** (1 - 2 * j) for j, yj in enumerate(y)]
-    exact = sum(c * int(m) for c, m in zip(coeffs, problem.moments))
-    bound, up = float(exact), problem.direction == "above"
-    if bound != exact and (bound < exact) == up:
+    k, (sn, sd) = problem.degree // 2, float(problem.scale).as_integer_ratio()
+    p, q, delta = _sqrt_interpolant(*_principal_nodes(problem), k)
+    # Coefficient j of x^2j is p[j] (q sd / sn)^(2j-1) / delta = nums[j] / den.
+    nums = [pj * (q * sd) ** (2 * j) * sn ** (2 * (k - j) + 1) for j, pj in enumerate(p)]
+    den = delta * q * sd * sn ** (2 * k)
+    numerator = sum(c * int(m) for c, m in zip(nums, problem.moments))
+    bound, up = numerator / den, problem.direction == "above"
+    bn, bd = bound.as_integer_ratio()
+    if (gap := bn * den - numerator * bd) and (gap < 0) == up:
         bound = math.nextafter(bound, math.inf if up else -math.inf)
-    poly = EvenPolynomial(tuple(map(float, coeffs)), problem.scale)
+    poly = EvenPolynomial(tuple(c / den for c in nums), problem.scale)
     return LpSolution(poly, bound, "optimal", True, 1)
 
 

@@ -735,3 +735,11 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "A_\n"
+
+
+def test_cli_import_pulls_in_neither_fractions_nor_decimal():
+    # fractions imports decimal; together they cost about 3 ms of every start.
+    code = "import sys, menergy.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

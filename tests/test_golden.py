@@ -21,6 +21,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
         ("analyze.csv", ["analyze"]),
         ("analyze.json", ["analyze", "--format", "json"]),
         ("sweep8.csv", ["sweep", "--max-degree", "8"]),
+        ("sweep16.csv", ["sweep", "--max-degree", "16"]),
     ],
 )
 def test_cli_output_matches_golden_bytes(expected, extra, tmp_path):

@@ -3,7 +3,9 @@
 import dataclasses
 import decimal
 import math
+from collections import Counter
 from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -27,6 +29,7 @@ from menergy.quartic import verify_majorization
 from menergy.report import SOUNDNESS_RTOL
 
 from conftest import CORPUS_SPECS, corpus_graph, spectrum_of, summary_of
+from test_exhaustive import representatives
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +499,76 @@ def test_contraction_is_exact_where_coefficient_terms_cancel():
     assert sol.objective >= energy * (1 - SOUNDNESS_RTOL)
     for e in me.bound_sweep(g, 16):
         assert me.soundness_ok(energy, e.upper.objective, e.lower.objective)
+
+
+# ---------------------------------------------------------------------------
+# the integer certificate against a Fraction reference
+
+
+def fraction_certificate(problem):
+    """(bound, coefficients) of the certificate built in Fraction, rounded as the
+    integer route must round it: the same points, Newton table and Horner loop."""
+    nodes, ends = _principal_nodes(problem)
+    met = Counter(map(math.sqrt, [*ends, *nodes.tolist() * 2]))
+    roots = [Fraction(s) for s in sorted(met) for _ in range(min(met[s], 2))]
+    z = [s * s for s in roots]
+    diffs = [1 / (a + b) for a, b in zip(roots, roots[1:])]
+    newton = [roots[0]]
+    for order in range(2, len(z) + 1):
+        newton.append(diffs[0])
+        diffs = [(b - a) / (z[i + order] - z[i]) for i, (a, b) in enumerate(zip(diffs, diffs[1:]))]
+    y = [newton[-1]] + [Fraction(0)] * (problem.degree // 2)
+    for i in range(len(z) - 2, -1, -1):
+        y = [newton[i] - z[i] * y[0]] + [a - z[i] * b for a, b in zip(y, y[1:])]
+    coeffs = [yj * Fraction(problem.scale) ** (1 - 2 * j) for j, yj in enumerate(y)]
+    exact = sum(c * int(m) for c, m in zip(coeffs, problem.moments))
+    bound, up = float(exact), problem.direction == "above"
+    if bound != exact and (bound < exact) == up:
+        bound = math.nextafter(bound, math.inf if up else -math.inf)
+    return bound, tuple(map(float, coeffs))
+
+
+def assert_matches_fraction_route(walks, scale):
+    for degree in range(0, 17, 2):
+        for direction in ("above", "below"):
+            problem = LpProblem(degree, tuple(walks[: degree + 1 : 2]), scale, direction)
+            sol = solve_bound_lp(problem)
+            assert (sol.objective, sol.polynomial.coefficients) == fraction_certificate(problem), problem
+
+
+def assert_graph_matches_fraction_route(g):
+    assert_matches_fraction_route(me.trace_moments(g, 16), float(max(g.degrees())))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_integer_certificates_equal_fractions_on_every_small_moment_vector(n):
+    for g, _, _ in representatives(n):
+        assert_graph_matches_fraction_route(g)
+
+
+# gnp:7:0.9:394105 puts a NODE_FLOOR node beside three others at degree 16.
+@pytest.mark.parametrize("spec", ["FFj??", "gnp:7:0.9:394105", "cycle:4", "star:9", "cycle:12", "path:5"])
+def test_integer_certificates_equal_fractions_on_boundary_graphs(spec):
+    g = me.parse_graph6(spec) if spec == "FFj??" else corpus_graph(spec)
+    assert_graph_matches_fraction_route(g)
+
+
+def test_integer_certificates_equal_fractions_at_a_non_integer_scale():
+    assert_matches_fraction_route(me.trace_moments(corpus_graph("cycle:6"), 16), 2.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 16), st.floats(0.05, 1.0), st.integers(0, 2**32 - 1))
+def test_integer_certificates_equal_fractions_on_random_graphs(n, p, seed):
+    g = me.generate_from_string(f"gnp:{n}:{p!r}:{seed}")
+    if g.m:
+        assert_graph_matches_fraction_route(g)
+
+
+def test_a_certificate_division_with_a_remainder_raises():
+    assert polyopt._exact(-12, 4) == -3
+    with pytest.raises(ArithmeticError, match="not exact"):
+        polyopt._exact(7, 2)
 
 
 @pytest.mark.parametrize("spec, floor", [("cycle:9", 11.266), ("cycle:11", 13.7697)])
