@@ -2,9 +2,10 @@
 
 The library computes the energy of a simple graph (the sum of absolute
 adjacency eigenvalues) exactly from the LAPACK spectrum, bounds it from the
-walk counts n, M2, M4 through an optimal tangent quartic with a closed form,
-classifies the graphs attaining the bound, and reads the optimal bounds of
-higher even degree off quadrature rules of the moments.
+walk counts n, M2, M4 through an optimal tangent quartic, proved in exact
+integers and rounded up once, classifies the graphs attaining the bound, and
+reads the optimal bounds of higher even degree off quadrature rules of the
+moments.
 """
 
 from .extremal import (
@@ -68,10 +69,8 @@ from .polyopt import (
 )
 from .quartic import (
     EvenPolynomial,
-    MajorizationError,
     best_quartic_bound,
     bound_at_tangency,
-    bound_from_polynomial,
     dilate,
     optimal_tangency,
     tangent_quartic,

@@ -1,11 +1,11 @@
 """Classification of graphs attaining the quartic energy bound.
 
-Equality forces the spectrum into {±D, ±rD} for the optimal tangency point
-r and maximum degree D.  Among connected graphs the known families with such
-spectra are complete graphs, strongly regular graphs whose two path-count
-parameters coincide, and incidence graphs of symmetric designs; the
-classifier recognises exactly these and reports anything else as tight but
-unclassified.
+Equality holds iff the spectrum lies in {±D, ±rD}, where the dilated P_r at
+the optimal tangency r touches |x|; it is decided on the exact walk counts up
+to M6.  Among connected graphs the known families with such spectra are
+complete graphs, strongly regular graphs whose two path-count parameters
+coincide, and incidence graphs of symmetric designs; the classifier recognises
+exactly these and reports anything else as tight but unclassified.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, bipartition, is_connected, is_regular
-from .moments import ScaledMoments, codegree_matrix
-from .quartic import optimal_tangency
-from .spectral import Spectrum, eigenvalues
-
-SPECTRUM_MEMBERSHIP_RTOL = 1e-7
-TIGHTNESS_RTOL = 1e-6
+from .moments import MomentSummary, codegree_matrix
 
 
 @dataclass(frozen=True)
@@ -43,19 +38,14 @@ class EqualityClass:
         return self.tag
 
 
-def spectrum_membership(
-    g: Graph, sm: ScaledMoments, spectrum: Spectrum | None = None
-) -> bool:
-    """True iff every eigenvalue is within 1e-7 * D of {±D, ±rD}."""
-    if spectrum is None:
-        spectrum = eigenvalues(g)
-    d = float(max(g.degrees(), default=0))
-    if d == 0.0:
-        return all(abs(v) <= 1e-12 for v in spectrum.eigenvalues)
-    r, _ = optimal_tangency(sm)
-    targets = (d, -d, r * d, -r * d)
-    tol = SPECTRUM_MEMBERSHIP_RTOL * d
-    return all(min(abs(v - t) for t in targets) <= tol for v in spectrum.eigenvalues)
+def spectrum_membership(s: MomentSummary) -> bool:
+    """True iff every eigenvalue lies in {±D, ±rD}, decided on exact integers.
+
+    In t = x^2 the measure (D^2 - t) mu has moments c0, c1, c2 (MomentSummary.gaps),
+    so c1^2 <= c0 c2, with equality iff it has at most one atom, at c1 / c0 = (rD)^2.
+    """
+    c0, c1, c2 = s.gaps
+    return c0 * c2 == c1 * c1
 
 
 def detect_complete(g: Graph) -> bool:
@@ -138,27 +128,26 @@ def design_spectrum(v: int, k: int, lam: int) -> tuple[tuple[float, float], ...]
     return ((float(k), 1.0), (s, float(v - 1)), (-s, float(v - 1)), (float(-k), 1.0))
 
 
-def classify_equality(
-    g: Graph, energy_value: float, bound: float, codegree: np.ndarray | None = None
-) -> EqualityClass:
+def classify_equality(g: Graph, s: MomentSummary) -> EqualityClass:
     """Decide whether the bound is attained and, if so, by which family.
 
-    Checks in order: tightness of the bound, then complete graphs, design
-    incidence graphs, and strongly regular graphs with equal parameters.
+    Checks in order: tightness of the bound (spectrum_membership), then
+    complete graphs, design incidence graphs, and strongly regular graphs with
+    equal parameters.
     The single edge matches both the complete and the design shape and is
     reported as Complete.  A tight graph outside every family triggers a
     warning and comes back TightUnclassified.
     """
-    if abs(bound - energy_value) > TIGHTNESS_RTOL * max(1.0, energy_value):
+    if not spectrum_membership(s):
         return EqualityClass("NotTight")
     if g.n < 2 or not is_connected(g):
         return EqualityClass("TightUnclassified")
     if detect_complete(g):
         return EqualityClass("Complete")
-    design = detect_design_incidence(g, codegree)
+    design = detect_design_incidence(g, s.codegree)
     if design is not None:
         return EqualityClass("DesignIncidence", design)
-    srg = detect_srg(g, codegree)
+    srg = detect_srg(g, s.codegree)
     if srg is not None and srg[2] == srg[3]:
         return EqualityClass("SrgEqualParams", srg)
     warnings.warn(

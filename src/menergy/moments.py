@@ -90,7 +90,14 @@ class MomentSummary:
     quad_count: int
     m2: int
     m4: int
+    m6: int
     codegree: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def gaps(self) -> tuple[int, int, int]:
+        """c_j = D^2 M_2j - M_2j+2 for j <= 2: the moments of (D^2 - t) mu in t = x^2."""
+        d2 = self.max_degree**2
+        return self.n * d2 - self.m2, d2 * self.m2 - self.m4, d2 * self.m4 - self.m6
 
 
 def moment_summary(g: Graph) -> MomentSummary:
@@ -99,7 +106,7 @@ def moment_summary(g: Graph) -> MomentSummary:
     Raises CapExceededError above the dense-kernel vertex cap.
     """
     st = degree_stats(g)
-    traces = trace_moments(g, 4)
+    traces = trace_moments(g, 6)
     c = codegree_matrix(g)
     c.flags.writeable = False  # shared with the equality detectors through the summary
     q = _quad_count_checked(c, st.zagreb, st.edge_count, traces[4])
@@ -115,6 +122,7 @@ def moment_summary(g: Graph) -> MomentSummary:
         quad_count=q,
         m2=m2,
         m4=m4,
+        m6=traces[6],
         codegree=c,
     )
 
@@ -137,8 +145,7 @@ def scaled_moments(s: MomentSummary) -> ScaledMoments:
         raise NoEdgesError("scaled moments are undefined without edges")
     d = float(s.max_degree)
     triple = ScaledMoments(s.m4 / d**3, s.m2 / d, s.n * d)
-    # The triple's ordering times D^3 and times D, decided on exact integers.
-    d2 = s.max_degree**2
-    if not (s.m4 <= d2 * s.m2 and s.m2 <= s.n * d2):
+    # The triple's ordering times D^3 and times D is c1 >= 0 and c0 >= 0, on exact integers.
+    if min(s.gaps[:2]) < 0:
         raise MomentMismatchError(f"scaled moment ordering violated: {triple}")
     return triple

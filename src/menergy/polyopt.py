@@ -42,7 +42,7 @@ import numpy as np
 
 from .graphs import Graph
 from .moments import NoEdgesError, degree_stats
-from .quartic import EvenPolynomial
+from .quartic import EvenPolynomial, round_outward
 from .quartic import verify_majorization, violation_minima  # noqa: F401  (a tracer hooks these)
 from .spectral import trace_moments
 
@@ -302,10 +302,7 @@ def solve_bound_lp(problem: LpProblem) -> LpSolution:
     nums = [pj * (q * sd) ** (2 * j) * sn ** (2 * (k - j) + 1) for j, pj in enumerate(p)]
     den = delta * q * sd * sn ** (2 * k)
     numerator = sum(c * int(m) for c, m in zip(nums, problem.moments))
-    bound, up = numerator / den, problem.direction == "above"
-    bn, bd = bound.as_integer_ratio()
-    if (gap := bn * den - numerator * bd) and (gap < 0) == up:
-        bound = math.nextafter(bound, math.inf if up else -math.inf)
+    bound = round_outward(numerator, den, problem.direction == "above")
     poly = EvenPolynomial(tuple(c / den for c in nums), problem.scale)
     return LpSolution(poly, bound, "optimal", True, 1)
 

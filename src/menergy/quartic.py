@@ -1,4 +1,4 @@
-"""The tangent-quartic family and the closed-form moment energy bound.
+"""The tangent-quartic family and the moment energy bound it gives.
 
 For 0 < r < 1 the even quartic
 
@@ -6,8 +6,10 @@ For 0 < r < 1 the even quartic
 
 touches y = x at x = r (tangentially) and at x = 1, and majorises |x| on
 [-1, 1].  Dilating to [-D, D] and contracting against the spectral moments
-(n, M2, M4) gives an upper bound on graph energy for every r; the optimal
-tangency point has a closed form in the scaled moments.
+(n, M2, M4) gives an upper bound on graph energy for every r.  The optimal
+tangency point, its clamps and the bound at it are computed from the exact
+integers c0 = n D^2 - M2 and c1 = D^2 M2 - M4, and the bound is rounded up
+once, so the printed bound is proved rather than close to one.
 """
 
 from __future__ import annotations
@@ -18,16 +20,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .moments import MomentSummary, ScaledMoments
+from .moments import MomentSummary, NoEdgesError, ScaledMoments
 
-# Relative guard separating genuinely coincident scaled moments from rounding.
-_DEGENERATE_GUARD = 1e-13
 # Clamped tangency points sit just inside the open interval (0, 1).
 _EDGE_MARGIN = 1e-9
-
-
-class MajorizationError(ValueError):
-    """A polynomial failed the majorisation check required for a sound bound."""
 
 
 @dataclass(frozen=True)
@@ -177,83 +173,49 @@ def violation_minima(
     return out[:8]
 
 
-def bound_from_polynomial(p: EvenPolynomial, summary: MomentSummary, direction: str) -> float:
-    """Contract a verified quartic (or lower) majoriser against the moments.
-
-    For direction "above" the result bounds the energy from above; "below"
-    gives a lower bound.  Polynomials of degree > 4 carry moments this
-    summary does not hold; route those through solve_bound_lp instead.
-    """
-    if len(p.coefficients) > 3:
-        raise ValueError("degree above 4 needs higher moments; use solve_bound_lp")
-    if abs(p.scale - summary.max_degree) > 1e-9 * max(1.0, summary.max_degree):
-        raise ValueError(
-            f"polynomial scale {p.scale} does not match max degree {summary.max_degree}"
-        )
-    check = verify_majorization(p, direction)
-    if not check.ok:
-        raise MajorizationError(
-            f"majorisation ({direction}) fails: gap {check.worst_gap:.3e} at x={check.worst_x:.6g}"
-        )
-    cs = p.coefficients + (0.0,) * (3 - len(p.coefficients))
-    return cs[0] * summary.n + cs[1] * summary.m2 + cs[2] * summary.m4
-
-
 def bound_at_tangency(sm: ScaledMoments, r: float) -> float:
-    """Energy bound from the tangent quartic at tangency point r."""
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"tangency point must lie strictly inside (0, 1), got {r}")
-    den = 2.0 * r * (r + 1.0) ** 2
-    return (
-        -sm.m4_scaled
-        + (3.0 * r * r + 2.0 * r + 1.0) * sm.m2_scaled
-        + r * r * (2.0 * r + 1.0) * sm.m0_scaled
-    ) / den
+    """Energy bound from the tangent quartic at tangency point r, in floats."""
+    c0, c2, c4 = tangent_quartic(r).coefficients
+    return c0 * sm.m0_scaled + c2 * sm.m2_scaled + c4 * sm.m4_scaled
 
 
-def optimal_tangency(sm: ScaledMoments) -> tuple[float, bool]:
+def optimal_tangency(s: MomentSummary) -> tuple[float, bool]:
     """The tangency point minimising the quartic bound, and whether it was clamped.
 
-    The interior minimiser is sqrt((m2s - m4s) / (m0s - m2s)).  Degenerate
-    triples are clamped into the open interval: when the scaled moments
-    coincide (unions of single edges) the bound degenerates to m2_scaled and
-    any point works; a vanishing numerator pushes the minimiser to 0, a
-    vanishing denominator or a ratio >= 1 pushes it to 1.
+    The minimiser is r = sqrt(c1 / (D^2 c0)).  If c1 = 0 the spectrum lies in
+    {0, ±D}, the bound is the infimum M2 / D and r is clamped to the margin, or
+    to 1 if c0 = 0 too (unions of single edges); so is an r that rounds to 1.
     """
-    a4, a2, a0 = sm.m4_scaled, sm.m2_scaled, sm.m0_scaled
-    guard = _DEGENERATE_GUARD * max(1.0, a0)
-    gap_low = a2 - a4
-    gap_high = a0 - a2
-    if gap_low <= guard:
-        return (1.0, True) if gap_high <= guard else (_EDGE_MARGIN, True)
-    if gap_high <= guard:
-        return (1.0 - _EDGE_MARGIN, True)
-    ratio = gap_low / gap_high
-    if ratio >= 1.0:
-        return (1.0 - _EDGE_MARGIN, True)
-    return (math.sqrt(ratio), False)
+    c0, c1, _ = s.gaps
+    if c1 == 0:
+        return (1.0 if c0 == 0 else _EDGE_MARGIN), True
+    r = math.sqrt(c1 / (s.max_degree**2 * c0)) if c0 else 1.0
+    return (r, False) if r < 1.0 else (1.0 - _EDGE_MARGIN, True)
 
 
-def best_quartic_bound(sm: ScaledMoments) -> float:
-    """The optimal tangent-quartic energy bound for one scaled-moment triple.
+def round_outward(num: int, den: int, up: bool) -> float:
+    """num / den for den > 0, rounded once to the float above it (up) or below it."""
+    bound = num / den  # int / int is correctly rounded
+    bn, bd = bound.as_integer_ratio()
+    if (gap := bn * den - num * bd) and (gap < 0) == up:
+        bound = math.nextafter(bound, math.inf if up else -math.inf)
+    return bound
 
-    Uses the closed form at the interior minimiser; clamped triples are
-    evaluated at the clamp point, except the fully degenerate family where
-    the infimum m2_scaled is exact (it equals the energy of a perfect
-    matching) and is returned directly.
+
+def best_quartic_bound(s: MomentSummary) -> float:
+    """The optimal tangent-quartic energy bound, exact in integers and rounded up once.
+
+    With r = a / b, the dilated P_r against (n, M2, M4) is N / (2a (a+b)^2 D^3),
+    N = a^2 (2a+b) n D^4 + b (3a^2+2ab+b^2) M2 D^2 - b^3 M4: a bound for every r
+    in (0, 1).  If c1 = 0 it is the infimum M2 / D, which is the energy.
     """
-    a4, a2, a0 = sm.m4_scaled, sm.m2_scaled, sm.m0_scaled
-    r, clamped = optimal_tangency(sm)
-    if clamped:
-        if a2 - a4 <= _DEGENERATE_GUARD * max(1.0, a0):
-            return a2
-        return bound_at_tangency(sm, r)
-    den = a4 - 2.0 * a2 + a0
-    if abs(den) <= _DEGENERATE_GUARD * max(1.0, a0):
-        # Cancellation territory; the parametric form is stable here.
-        return bound_at_tangency(sm, r)
-    cross = math.sqrt(a2 - a4) * math.sqrt(a0 - a2)
-    return -(a2 * a2 + a2 * cross - a0 * (a4 + cross)) / den
+    if (d := s.max_degree) < 1:
+        raise NoEdgesError("the quartic bound needs at least one edge")
+    if s.gaps[1] == 0:
+        return round_outward(s.m2, d, True)
+    a, b = optimal_tangency(s)[0].as_integer_ratio()
+    num = a * a * (2 * a + b) * s.n * d**4 + b * (3 * a * a + 2 * a * b + b * b) * s.m2 * d * d
+    return round_outward(num - b**3 * s.m4, 2 * a * (a + b) ** 2 * d**3, True)
 
 
 def van_dam_bound(n: int, d: int) -> float:

@@ -50,14 +50,13 @@ def analyze_graph(g: Graph) -> BoundReport:
             classification=EqualityClass("TightUnclassified"),
             connected=connected,
         )
-    spec = eigenvalues(g)
-    energy_value = float(sum(abs(v) for v in spec.eigenvalues))
+    energy_value = float(sum(abs(v) for v in eigenvalues(g).eigenvalues))
     scaled = scaled_moments(summary)
-    tangency, clamped = optimal_tangency(scaled)
-    bound = best_quartic_bound(scaled)
+    tangency, clamped = optimal_tangency(summary)
+    bound = best_quartic_bound(summary)
     degree = is_regular(g)
     vd = van_dam_bound(g.n, degree) if degree is not None else None
-    classification = classify_equality(g, energy_value, bound, summary.codegree)
+    classification = classify_equality(g, summary)
     return BoundReport(
         summary=summary,
         scaled=scaled,

@@ -56,14 +56,28 @@ def energy(g: Graph) -> float:
     return float(sum(abs(v) for v in eigenvalues(g).eigenvalues))
 
 
+def _exact(power: np.ndarray) -> np.ndarray:
+    """power with Python-int entries, through int64: float64 straight to object gives floats."""
+    return power if power.dtype == object else power.astype(np.int64).astype(object)
+
+
+def _inner(x: np.ndarray, y: np.ndarray, row_cap: int) -> int:
+    """Exact <x, y> of walk-count matrices whose termwise products sum to at most row_cap per row."""
+    if len(x) * row_cap < 2**53:  # every partial sum is an integer below 2^53
+        return int(np.vdot(x, y))
+    if row_cap < 2**63:
+        return sum((x.astype(np.int64) * y.astype(np.int64)).sum(axis=1).tolist())
+    return int((_exact(x) * _exact(y)).sum())
+
+
 def trace_moments(g: Graph, max_power: int) -> list[int]:
     """Exact Tr(A^k) for k = 0..max_power; equals the closed-walk counts.
 
-    Powers are computed in float64 BLAS while exact and escalated to Python
-    integers when an entry of the next product could reach 2^53.  Entries of
-    A^k are walk counts, so every partial sum in a product is a non-negative
-    integer bounded by the final entry and the pre-multiply check is
-    sufficient.
+    Tr(A^k) = <A^(k//2), A^(k-k//2)>, except Tr(A^4) = <A, A^3>, which keeps the M4
+    cross-check in moment_summary off the codegree matrix A^2.  Powers are float64
+    BLAS products, escalated to Python integers when an entry of the next product
+    could reach 2^53 (entries are walk counts, so every partial sum is bounded by
+    the final entry).  Row i of the sum for Tr(A^k) is (A^k)_ii <= D^k.
     """
     if max_power < 0:
         raise ValueError(f"power must be non-negative, got {max_power}")
@@ -74,14 +88,16 @@ def trace_moments(g: Graph, max_power: int) -> list[int]:
         raise CapExceededError(f"power {max_power} exceeds cap {TRACE_MAX_POWER}")
     base = dense_adjacency(g)
     max_degree = max(g.degrees(), default=0)
-    power = base
-    for _ in range(2, max_power + 1):
+    top = max((max_power + 1) // 2, 3 if max_power >= 4 else 1)  # A^3 serves Tr(A^4)
+    powers = [None, base]
+    for _ in range(2, top + 1):
+        power = powers[-1]
         if power.dtype != object and int(power.max(initial=0)) * max(1, max_degree) >= 2**53:
-            # Through int64 first: float64 straight to object gives Python floats.
-            power = power.astype(np.int64).astype(object)
-            base = base.astype(np.int64).astype(object)
-        power = power @ base
-        out.append(sum(int(x) for x in power.diagonal()))
+            power, base = _exact(power), _exact(base)
+        powers.append(power @ base)
+    for k in range(2, max_power + 1):
+        low = 1 if k == 4 else k // 2
+        out.append(_inner(powers[low], powers[k - low], max_degree**k))
     return out
 
 

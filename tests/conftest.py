@@ -13,6 +13,8 @@ parsers and Graph validation by the per-line and per-bit loops they replaced.
 """
 
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -114,6 +116,24 @@ def count_closed_walks(g: me.Graph, length: int) -> int:
         return sum(walks(u, steps - 1, target) for u in neighbours[v])
 
     return sum(walks(v, length, v) for v in range(g.n))
+
+
+def quartic_contraction(s: me.MomentSummary) -> Fraction:
+    """The tangent quartic P_r at the printed tangency r, dilated to [-D, D] and
+    contracted against (n, M2, M4) in Fractions; the infimum M2 / D when D^2 M2 = M4."""
+    d = Fraction(s.max_degree)
+    if d * d * s.m2 == s.m4:
+        return s.m2 / d
+    r = Fraction(me.optimal_tangency(s)[0])
+    den = 2 * r * (r + 1) ** 2
+    unit = (r * r * (2 * r + 1) / den, (3 * r * r + 2 * r + 1) / den, -1 / den)
+    c0, c2, c4 = (c * d ** (1 - 2 * j) for j, c in enumerate(unit))
+    return c0 * s.n + c2 * s.m2 + c4 * s.m4
+
+
+def assert_rounded_up(value: float, exact: Fraction) -> None:
+    """value is the least float at or above exact."""
+    assert Fraction(value) >= exact > Fraction(math.nextafter(value, -math.inf)), (value, exact)
 
 
 def brute_force_quad_count(g: me.Graph) -> int:

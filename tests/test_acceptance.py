@@ -5,6 +5,7 @@ pass/fail line per criterion.  Tolerances are stated inline and are not
 loosened anywhere else in the suite.
 """
 
+import dataclasses
 import math
 import time
 
@@ -88,9 +89,9 @@ def test_criterion_5_random_graph_property_suite(gnp_batch):
         assert sm.m4_scaled <= sm.m2_scaled + 1e-12 * max(1.0, sm.m0_scaled)
         assert sm.m2_scaled <= sm.m0_scaled + 1e-12 * max(1.0, sm.m0_scaled)
         energy = sum(abs(v) for v in spectrum_of(g).eigenvalues)
-        bound = me.best_quartic_bound(sm)
+        bound = me.best_quartic_bound(s)
         assert bound >= energy - 1e-7 * max(1.0, energy)
-        r_star, _ = me.optimal_tangency(sm)
+        r_star, _ = me.optimal_tangency(s)
         at_star = me.bound_at_tangency(sm, r_star)
         for r in sampled_r:
             assert at_star <= me.bound_at_tangency(sm, r) + 1e-9 * max(1.0, at_star)
@@ -100,27 +101,25 @@ def test_criterion_5_random_graph_property_suite(gnp_batch):
 
 
 def test_criterion_6_bound_decreases_in_first_moment_coordinate(gnp_batch):
-    triples = []
+    summaries = []
     for spec in CORPUS_SPECS:
         s = summary_of(corpus_graph(spec))
         if s.m > 0:
-            triples.append(me.scaled_moments(s))
+            summaries.append(s)
     for g in gnp_batch:
-        if len(triples) >= 50:
+        if len(summaries) >= 50:
             break
         s = me.moment_summary(g)
         if s.m > 0:
-            triples.append(me.scaled_moments(s))
-    assert len(triples) >= 50
-    for sm in triples[:50]:
-        grid = [sm.m4_scaled * f for f in (0.4, 0.6, 0.8, 1.0)]
-        values = [
-            me.best_quartic_bound(me.ScaledMoments(a, sm.m2_scaled, sm.m0_scaled))
-            for a in grid
-        ]
+            summaries.append(s)
+    assert len(summaries) >= 50
+    for s in summaries[:50]:
+        # Integer steps of M4 = D^3 * m4_scaled at 0.4, 0.6, 0.8 and 1.0 of its value.
+        grid = [s.m4 * k // 5 for k in (2, 3, 4, 5)]
+        values = [me.best_quartic_bound(dataclasses.replace(s, m4=m4)) for m4 in grid]
         for prev, cur in zip(values, values[1:]):
             assert cur <= prev + 1e-9 * max(1.0, abs(prev))
-    _report("quartic bound is non-increasing in the scaled fourth moment on 50 triples")
+    _report("quartic bound is non-increasing in the fourth moment on 50 summaries")
 
 
 def test_criterion_7_lp_consistency():
@@ -130,11 +129,10 @@ def test_criterion_7_lp_consistency():
         s = summary_of(g)
         if s.m == 0:
             continue
-        sm = me.scaled_moments(s)
-        r_star, clamped = me.optimal_tangency(sm)
+        r_star, clamped = me.optimal_tangency(s)
         if clamped:
             continue
-        closed = me.best_quartic_bound(sm)
+        closed = me.best_quartic_bound(s)
         sol = solve_bound_lp(lp_problem(g, 4, "above"))
         assert sol.certified, spec
         assert abs(sol.objective - closed) <= 1e-4 * closed, spec

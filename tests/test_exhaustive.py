@@ -19,6 +19,8 @@ import pytest
 import menergy as me
 from menergy.report import SOUNDNESS_RTOL
 
+from conftest import assert_rounded_up, quartic_contraction
+
 MAX_POWER = 16
 
 
@@ -75,7 +77,8 @@ def representatives(n):
 
 
 def check_sweeps(reps):
-    """Every sweep entry certified, sound and monotone; degree 4 is the closed form."""
+    """Every sweep entry certified, sound and monotone; degree 4 is the quartic bound,
+    which is the exact contraction of P_r rounded up."""
     for g, key, energy in reps:
         walks = me.trace_moments(g, MAX_POWER)
         assert (max(g.degrees()), *walks[::2]) == key
@@ -86,7 +89,9 @@ def check_sweeps(reps):
         for prev, cur in zip(entries, entries[1:]):
             assert cur.upper.objective <= prev.upper.objective, (key, cur.degree)
             assert cur.lower.objective >= prev.lower.objective, (key, cur.degree)
-        closed = me.best_quartic_bound(me.scaled_moments(me.moment_summary(g)))
+        s = me.moment_summary(g)
+        closed = me.best_quartic_bound(s)
+        assert_rounded_up(closed, quartic_contraction(s))
         assert abs(entries[1].upper.objective - closed) <= 1e-4 * closed, key
         assert energy <= closed + SOUNDNESS_RTOL * max(1.0, energy), key
 

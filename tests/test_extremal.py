@@ -137,12 +137,9 @@ def test_design_spectrum_formula_matches_eigensolver(spec, args):
 
 
 def test_spectrum_membership():
-    g = corpus_graph("rook:4")
-    sm = me.scaled_moments(summary_of(g))
-    assert me.spectrum_membership(g, sm)
+    assert me.spectrum_membership(summary_of(corpus_graph("rook:4")))
     # Petersen's spectrum {3, 1, -2} is not of the {±Δ, ±r*Δ} shape.
-    p = corpus_graph("petersen")
-    assert not me.spectrum_membership(p, me.scaled_moments(summary_of(p)))
+    assert not me.spectrum_membership(summary_of(corpus_graph("petersen")))
 
 
 @pytest.mark.parametrize(
@@ -174,25 +171,26 @@ def test_named_classes_imply_spectrum_membership():
         g = corpus_graph(spec)
         report = me.analyze_graph(g)
         assert report.classification.tag in ("Complete", "DesignIncidence", "SrgEqualParams"), spec
-        assert me.spectrum_membership(g, report.scaled), spec
+        assert me.spectrum_membership(report.summary), spec
 
 
-def test_tight_but_unnamed_warns():
+def test_tight_but_unnamed_warns(monkeypatch):
     # A graph whose bound is tight without matching a named family must warn
-    # rather than silently classify.  Build one artificially by feeding the
-    # classifier a tight value for a graph outside every class.
-    g = corpus_graph("cycle:7")
-    bound = me.best_quartic_bound(me.scaled_moments(summary_of(g)))
+    # rather than silently classify.  Build one artificially by hiding the
+    # family of a tight graph from every detector.
+    g = corpus_graph("heawood")
+    for name in ("detect_complete", "detect_design_incidence", "detect_srg"):
+        monkeypatch.setattr(me.extremal, name, lambda *args: None)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = me.classify_equality(g, bound, bound)
+        out = me.classify_equality(g, summary_of(g))
     assert str(out) == "TightUnclassified"
     assert any("tight" in str(w.message).lower() for w in caught)
 
 
 def test_classify_not_tight_short_circuits():
     g = corpus_graph("petersen")
-    out = me.classify_equality(g, 16.0, me.best_quartic_bound(me.scaled_moments(summary_of(g))))
+    out = me.classify_equality(g, summary_of(g))
     assert str(out) == "NotTight"
 
 

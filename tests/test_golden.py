@@ -6,11 +6,15 @@ fails here.  They are regenerated only by a change that documents why its
 output moves.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
+import menergy as me
 from menergy.cli import main
+
+from conftest import assert_rounded_up, quartic_contraction
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -29,3 +33,13 @@ def test_cli_output_matches_golden_bytes(expected, extra, tmp_path):
     code = main([*extra, "--in", str(GOLDEN / "families.g6"), "--out", str(out)])
     assert code == 0
     assert out.read_bytes() == (GOLDEN / expected).read_bytes()
+
+
+def test_golden_quartic_bounds_are_the_exact_contraction_rounded_up():
+    lines = (GOLDEN / "families.g6").read_text().split()
+    rows = json.loads((GOLDEN / "analyze.json").read_text())
+    assert len(rows) == len(lines)
+    for line, row in zip(lines, rows):
+        s = me.moment_summary(me.parse_graph6(line))
+        if s.m:
+            assert_rounded_up(row["quartic_bound"], quartic_contraction(s))

@@ -91,7 +91,7 @@ def test_scaled_moments_rejects_an_ordering_broken_by_one():
     # float check with 1e-12 * m0_scaled slack lets through.
     d, n, m2 = 1000, 2000, 2_000_000
     s = MomentSummary(
-        n=n, m=m2 // 2, max_degree=d, zagreb=0, quad_count=0, m2=m2, m4=d * d * m2 + 1,
+        n=n, m=m2 // 2, max_degree=d, zagreb=0, quad_count=0, m2=m2, m4=d * d * m2 + 1, m6=0,
         codegree=np.zeros((0, 0), dtype=np.int64),
     )
     with pytest.raises(MomentMismatchError, match="ordering"):

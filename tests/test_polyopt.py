@@ -235,7 +235,7 @@ def test_degree_two_closed_forms(spec):
 def test_degree_four_matches_quartic_closed_form():
     for spec in ("petersen", "heawood", "rook:4", "gnp:15:0.5:2"):
         g = corpus_graph(spec)
-        closed = me.best_quartic_bound(me.scaled_moments(summary_of(g)))
+        closed = me.best_quartic_bound(summary_of(g))
         sol = solve_bound_lp(lp_problem(g, 4, "above"))
         assert sol.certified, spec
         assert sol.objective <= closed + 1e-6, spec
@@ -336,11 +336,11 @@ def test_degree_four_upper_is_the_closed_form_quartic():
         g = corpus_graph(spec)
         if me.degree_stats(g).max_degree < 1:
             continue
-        sm = me.scaled_moments(summary_of(g))
-        if me.optimal_tangency(sm)[1]:
+        s = summary_of(g)
+        if me.optimal_tangency(s)[1]:
             continue
         sol = solve_bound_lp(lp_problem(g, 4, "above"))
-        assert sol.objective == pytest.approx(me.best_quartic_bound(sm), rel=1e-10), spec
+        assert sol.objective == pytest.approx(me.best_quartic_bound(s), rel=1e-10), spec
         checked += 1
     assert checked >= 20
 

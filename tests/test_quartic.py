@@ -1,6 +1,7 @@
-"""Tangent-quartic family, majorization checks, closed-form optimal bound."""
+"""Tangent-quartic family, majorization checks, the exact optimal bound."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import menergy as me
-from menergy.quartic import MajorizationError
 
-from conftest import CORPUS_SPECS, corpus_graph, summary_of
+from conftest import CORPUS_SPECS, assert_rounded_up, corpus_graph, quartic_contraction, summary_of
 
 
 def unclamped_specs():
@@ -19,7 +19,7 @@ def unclamped_specs():
         g = corpus_graph(spec)
         if g.m == 0:
             continue
-        _, clamped = me.optimal_tangency(me.scaled_moments(summary_of(g)))
+        _, clamped = me.optimal_tangency(summary_of(g))
         if not clamped:
             out.append(spec)
     return out
@@ -105,32 +105,6 @@ def test_verify_majorization_below_direction():
     assert not me.verify_majorization(shifted, "below").ok
 
 
-def test_bound_from_polynomial_matches_contraction():
-    g = corpus_graph("petersen")
-    s = summary_of(g)
-    r, _ = me.optimal_tangency(me.scaled_moments(s))
-    p = me.dilate(me.tangent_quartic(r), float(s.max_degree))
-    got = me.bound_from_polynomial(p, s, "above")
-    c0, c2, c4 = p.coefficients
-    assert got == pytest.approx(c0 * s.n + c2 * s.m2 + c4 * s.m4, rel=1e-12)
-
-
-def test_bound_from_polynomial_rejects_uncertified():
-    g = corpus_graph("petersen")
-    s = summary_of(g)
-    bad = me.EvenPolynomial((0.0, 1.0), scale=float(s.max_degree))
-    with pytest.raises(MajorizationError):
-        me.bound_from_polynomial(bad, s, "above")
-
-
-def test_bound_from_polynomial_rejects_scale_mismatch():
-    g = corpus_graph("petersen")
-    s = summary_of(g)
-    p = me.tangent_quartic(0.5)  # scale 1, graph needs 3
-    with pytest.raises(ValueError, match="scale"):
-        me.bound_from_polynomial(p, s, "above")
-
-
 @pytest.mark.parametrize("spec", ["petersen", "heawood", "gnp:15:0.5:2", "rook:4"])
 @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
 def test_bound_at_tangency_equals_polynomial_route(spec, r):
@@ -139,16 +113,15 @@ def test_bound_at_tangency_equals_polynomial_route(spec, r):
     s = summary_of(g)
     sm = me.scaled_moments(s)
     via_formula = me.bound_at_tangency(sm, r)
-    poly = me.dilate(me.tangent_quartic(r), float(s.max_degree))
-    via_poly = me.bound_from_polynomial(poly, s, "above")
-    assert via_formula == pytest.approx(via_poly, rel=1e-9)
+    c0, c2, c4 = me.dilate(me.tangent_quartic(r), float(s.max_degree)).coefficients
+    assert via_formula == pytest.approx(c0 * s.n + c2 * s.m2 + c4 * s.m4, rel=1e-9)
 
 
 @pytest.mark.parametrize("spec", unclamped_specs())
 def test_optimal_tangency_beats_sampled_r(spec):
-    g = corpus_graph(spec)
-    sm = me.scaled_moments(summary_of(g))
-    r_star, clamped = me.optimal_tangency(sm)
+    s = summary_of(corpus_graph(spec))
+    sm = me.scaled_moments(s)
+    r_star, clamped = me.optimal_tangency(s)
     assert not clamped
     assert 0.0 < r_star < 1.0
     best = me.bound_at_tangency(sm, r_star)
@@ -159,31 +132,38 @@ def test_optimal_tangency_beats_sampled_r(spec):
 
 @pytest.mark.parametrize("spec", unclamped_specs())
 def test_best_quartic_bound_is_stationary_value(spec):
-    g = corpus_graph(spec)
-    sm = me.scaled_moments(summary_of(g))
-    r_star, _ = me.optimal_tangency(sm)
-    assert me.best_quartic_bound(sm) == pytest.approx(
+    s = summary_of(corpus_graph(spec))
+    sm = me.scaled_moments(s)
+    r_star, _ = me.optimal_tangency(s)
+    assert me.best_quartic_bound(s) == pytest.approx(
         me.bound_at_tangency(sm, r_star), rel=1e-11
     )
 
 
 def test_clamped_cases():
     # Single edge: A = B = C, bound collapses to B with r pinned at 1.
-    sm = me.scaled_moments(summary_of(corpus_graph("complete:2")))
-    r, clamped = me.optimal_tangency(sm)
+    s = summary_of(corpus_graph("complete:2"))
+    r, clamped = me.optimal_tangency(s)
     assert clamped and r == pytest.approx(1.0)
-    assert me.best_quartic_bound(sm) == pytest.approx(2.0, abs=1e-12)
+    assert me.best_quartic_bound(s) == pytest.approx(2.0, abs=1e-12)
     # C4: A = B < C, the touching point collapses inward instead.
-    sm4 = me.scaled_moments(summary_of(corpus_graph("cycle:4")))
-    r4, clamped4 = me.optimal_tangency(sm4)
+    s4 = summary_of(corpus_graph("cycle:4"))
+    r4, clamped4 = me.optimal_tangency(s4)
     assert clamped4 and r4 <= 1e-6
-    assert me.best_quartic_bound(sm4) == pytest.approx(4.0, abs=1e-12)
+    assert me.best_quartic_bound(s4) == pytest.approx(4.0, abs=1e-12)
+
+
+def test_quartic_bound_needs_edges():
+    with pytest.raises(me.NoEdgesError):
+        me.best_quartic_bound(summary_of(corpus_graph("path:1")))
 
 
 def test_known_bounds():
-    heawood = me.best_quartic_bound(me.scaled_moments(summary_of(corpus_graph("heawood"))))
+    heawood = me.best_quartic_bound(summary_of(corpus_graph("heawood")))
     assert heawood == pytest.approx(6 + 12 * math.sqrt(2), rel=1e-12)
-    k5 = me.best_quartic_bound(me.scaled_moments(summary_of(corpus_graph("complete:5"))))
+    # The energy 6 + 12 sqrt(2) is irrational, so the bound lies strictly above it.
+    assert heawood > 6 and (Fraction(heawood) - 6) ** 2 > 288
+    k5 = me.best_quartic_bound(summary_of(corpus_graph("complete:5")))
     assert k5 == pytest.approx(8.0, rel=1e-12)
 
 
@@ -205,7 +185,7 @@ def test_van_dam_matches_quartic_on_quad_free_regular(spec):
     s = summary_of(g)
     assert me.is_regular(g) is not None and s.quad_count == 0
     vd = me.van_dam_bound(g.n, me.is_regular(g))
-    assert me.best_quartic_bound(me.scaled_moments(s)) == pytest.approx(vd, rel=1e-12)
+    assert me.best_quartic_bound(s) == pytest.approx(vd, rel=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
@@ -220,9 +200,10 @@ def test_property_bound_sound_and_optimal(n, p, seed):
         return
     s = summary_of(g)
     sm = me.scaled_moments(s)
-    bound = me.best_quartic_bound(sm)
+    bound = me.best_quartic_bound(s)
+    assert_rounded_up(bound, quartic_contraction(s))
     assert bound >= me.energy(g) - 1e-7 * max(1.0, me.energy(g))
-    r_star, clamped = me.optimal_tangency(sm)
+    r_star, clamped = me.optimal_tangency(s)
     if not clamped:
         for r in (0.05, 0.33, 0.66, 0.95):
             assert bound <= me.bound_at_tangency(sm, r) + 1e-9 * max(1.0, bound)

@@ -120,6 +120,48 @@ def test_trace_moments_exact_at_overflow_scale():
         assert got[k] == 49**k + 49 * (-1) ** k if k else g.n
 
 
+def power_chain_traces(g, max_power):
+    """Tr(A^k) from the chain of full products A^2, ..., A^max_power and their
+    diagonals, escalated to Python integers before an entry could reach 2^53."""
+    base = g.matrix.astype(np.float64)
+    max_degree = max(1, max(g.degrees(), default=0))
+    out, power = [g.n, 0], base
+    for _ in range(2, max_power + 1):
+        if power.dtype != object and int(power.max(initial=0)) * max_degree >= 2**53:
+            power = power.astype(np.int64).astype(object)
+            base = base.astype(np.int64).astype(object)
+        power = power @ base
+        out.append(sum(int(x) for x in power.diagonal()))
+    return out[: max_power + 1]
+
+
+@pytest.mark.parametrize(
+    "spec,k",
+    [
+        ("petersen", 16),
+        ("gnp:24:0.5:4", 16),
+        ("star:40", 16),
+        ("gnp:60:0.9:1", 16),
+        ("complete:300", 8),
+        ("union:complete:29,complete:29", 11),
+    ],
+)
+def test_trace_moments_match_the_power_chain(spec, k):
+    # Together these sum in every tier: float64, int64 rows and Python integers.
+    # In 2 K29 at k = 11 each row sum is below 2^53 but the trace is not, where
+    # a float64 sum is off by 4.
+    g = me.generate_from_string(spec)
+    assert me.trace_moments(g, k) == power_chain_traces(g, k)
+
+
+def test_trace_moments_exact_on_escalated_powers():
+    # K_200 is about the smallest graph whose half powers reach 2^53: A^8 is
+    # computed in Python integers, and must keep the closed form.
+    g = me.complete(200)
+    got = me.trace_moments(g, 16)
+    assert all(got[k] == 199**k + 199 * (-1) ** k for k in range(1, 17))
+
+
 def test_spectrum_tuple_immutable():
     s = spectrum_of(corpus_graph("cycle:4"))
     assert isinstance(s.eigenvalues, tuple)
