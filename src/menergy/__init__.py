@@ -11,12 +11,10 @@ moments.
 from .extremal import (
     EqualityClass,
     classify_equality,
-    design_spectrum,
     detect_complete,
     detect_design_incidence,
     detect_srg,
     spectrum_membership,
-    srg_spectrum,
 )
 from .families import (
     FamilyError,
@@ -41,7 +39,6 @@ from .graphs import (
     Graph,
     GraphError,
     bipartition,
-    is_bipartite,
     is_connected,
     is_regular,
     parse_edge_list,

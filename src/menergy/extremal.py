@@ -6,18 +6,19 @@ to M6.  Among connected graphs the known families with such spectra are
 complete graphs, strongly regular graphs whose two path-count parameters
 coincide, and incidence graphs of symmetric designs; the classifier recognises
 exactly these and reports anything else as tight but unclassified.
+Every test reads the graph's one MomentSummary: regularity is n D = 2m,
+completeness m = n(n-1)/2, and the codegrees are the summary's matrix.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, bipartition, is_connected, is_regular
-from .moments import MomentSummary, codegree_matrix
+from .graphs import Graph, bipartition, is_connected
+from .moments import MomentSummary
 
 
 @dataclass(frozen=True)
@@ -48,84 +49,53 @@ def spectrum_membership(s: MomentSummary) -> bool:
     return c0 * c2 == c1 * c1
 
 
-def detect_complete(g: Graph) -> bool:
-    return g.n >= 1 and g.m == g.n * (g.n - 1) // 2
+def detect_complete(s: MomentSummary) -> bool:
+    return s.n >= 1 and s.m == s.n * (s.n - 1) // 2
 
 
-def detect_srg(g: Graph, codegree: np.ndarray | None = None) -> tuple[int, int, int, int] | None:
+def detect_srg(g: Graph, s: MomentSummary) -> tuple[int, int, int, int] | None:
     """Parameters (n, d, lambda, mu) if g is strongly regular, else None.
 
     Requires regularity, a constant common-neighbour count over adjacent
     pairs (lambda) and over non-adjacent pairs (mu); complete and empty
-    graphs are excluded because one of the counts is vacuous.
+    graphs are excluded because one of the counts is vacuous.  s is g's
+    moment summary, which carries the codegree matrix.
     """
-    if g.n < 2:
+    if s.n < 2 or s.n * s.max_degree != 2 * s.m:  # 2m reaches n D only if every degree is D
         return None
-    d = is_regular(g)
-    if d is None:
-        return None
-    c = codegree_matrix(g) if codegree is None else codegree
     adjacent = g.matrix.astype(bool)
     apart = ~adjacent
     np.fill_diagonal(apart, False)
-    lams = np.unique(c[adjacent])
-    mus = np.unique(c[apart])
+    lams = np.unique(s.codegree[adjacent])
+    mus = np.unique(s.codegree[apart])
     if len(lams) != 1 or len(mus) != 1:
         return None
-    return (g.n, d, int(lams[0]), int(mus[0]))
+    return (s.n, s.max_degree, int(lams[0]), int(mus[0]))
 
 
-def detect_design_incidence(
-    g: Graph, codegree: np.ndarray | None = None
-) -> tuple[int, int, int] | None:
+def detect_design_incidence(g: Graph, s: MomentSummary) -> tuple[int, int, int] | None:
     """Parameters (v, k, lambda) if g is the incidence graph of a symmetric design.
 
     Recognised shape: bipartite with equal part sizes v, every degree k >= 1,
     and a constant codegree lambda within each part (the same constant on
     both).  The single-edge graph passes trivially as (1, 1, 0).  Meaningful
-    on connected graphs, where the bipartition is unique.
+    on connected graphs, where the bipartition is unique.  s is g's moment
+    summary, which carries the codegree matrix.
     """
-    parts = bipartition(g)
-    if parts is None:
+    if s.max_degree < 1 or s.n * s.max_degree != 2 * s.m or (parts := bipartition(g)) is None:
         return None
     left, right = parts
-    if not left or not right or len(left) != len(right):
+    if len(left) != len(right):
         return None
-    v = len(left)
-    degs = set(g.degrees())
-    if len(degs) != 1:
-        return None
-    k = degs.pop()
-    if k < 1:
-        return None
-    side = np.zeros(g.n, dtype=bool)
+    side = np.zeros(s.n, dtype=bool)
     side[list(right)] = True
     same_part = side[:, None] == side[None, :]
     np.fill_diagonal(same_part, False)
-    lams = np.unique((codegree_matrix(g) if codegree is None else codegree)[same_part])
+    lams = np.unique(s.codegree[same_part])
     if len(lams) > 1:
         return None
     lam = int(lams[0]) if len(lams) else 0
-    return (v, k, lam)
-
-
-def srg_spectrum(n: int, d: int, lam: int, mu: int) -> tuple[tuple[float, float], ...]:
-    """Distinct eigenvalues with multiplicities for a strongly regular graph."""
-    disc = math.sqrt((lam - mu) ** 2 + 4 * (d - mu))
-    theta = ((lam - mu) + disc) / 2.0
-    tau = ((lam - mu) - disc) / 2.0
-    shared = (2 * d + (n - 1) * (lam - mu)) / disc
-    return (
-        (float(d), 1.0),
-        (theta, ((n - 1) - shared) / 2.0),
-        (tau, ((n - 1) + shared) / 2.0),
-    )
-
-
-def design_spectrum(v: int, k: int, lam: int) -> tuple[tuple[float, float], ...]:
-    """Distinct eigenvalues with multiplicities for a symmetric design incidence graph."""
-    s = math.sqrt(k - lam)
-    return ((float(k), 1.0), (s, float(v - 1)), (-s, float(v - 1)), (float(-k), 1.0))
+    return (len(left), s.max_degree, lam)
 
 
 def classify_equality(g: Graph, s: MomentSummary) -> EqualityClass:
@@ -142,12 +112,12 @@ def classify_equality(g: Graph, s: MomentSummary) -> EqualityClass:
         return EqualityClass("NotTight")
     if g.n < 2 or not is_connected(g):
         return EqualityClass("TightUnclassified")
-    if detect_complete(g):
+    if detect_complete(s):
         return EqualityClass("Complete")
-    design = detect_design_incidence(g, s.codegree)
+    design = detect_design_incidence(g, s)
     if design is not None:
         return EqualityClass("DesignIncidence", design)
-    srg = detect_srg(g, s.codegree)
+    srg = detect_srg(g, s)
     if srg is not None and srg[2] == srg[3]:
         return EqualityClass("SrgEqualParams", srg)
     warnings.warn(

@@ -181,44 +181,41 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def is_connected(g: Graph) -> bool:
-    """True for graphs with at most one vertex and for connected graphs."""
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
+def _layers(g: Graph, root: int) -> Iterator[int]:
+    """Breadth-first layers of root's component as bitsets: the vertices at distance 0, 1, ...
+
+    Every edge joins two vertices of one layer or of consecutive layers.
+    """
+    seen = frontier = 1 << root
     while frontier:
+        yield frontier
         reach = 0
         for v in bit_indices(frontier):
             reach |= g.adj[v]
         frontier = reach & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+
+
+def is_connected(g: Graph) -> bool:
+    """True for graphs with at most one vertex and for connected graphs."""
+    return g.n <= 1 or sum(_layers(g, 0)) == (1 << g.n) - 1  # disjoint layers: sum is union
 
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """A two-colouring (left, right) covering every component, or None."""
-    colour = [-1] * g.n
-    for start in range(g.n):
-        if colour[start] != -1:
-            continue
-        colour[start] = 0
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in bit_indices(g.adj[v]):
-                if colour[w] == -1:
-                    colour[w] = colour[v] ^ 1
-                    stack.append(w)
-                elif colour[w] == colour[v]:
-                    return None
-    left = tuple(i for i in range(g.n) if colour[i] == 0)
-    right = tuple(i for i in range(g.n) if colour[i] == 1)
-    return left, right
+    """A two-colouring (left, right) covering every component, or None if g has an odd cycle.
 
-
-def is_bipartite(g: Graph) -> bool:
-    return bipartition(g) is not None
+    Each vertex takes the side of its depth parity in the breadth-first layering from the
+    least vertex of its component, so that vertex goes left; both tuples are ascending.
+    The colouring is proper unless an edge joins two vertices of one layer.
+    """
+    sides, unseen = [0, 0], (1 << g.n) - 1
+    while unseen:
+        for depth, layer in enumerate(_layers(g, (unseen & -unseen).bit_length() - 1)):
+            sides[depth & 1] |= layer
+            unseen ^= layer
+    if any(g.adj[v] & side for side in sides for v in bit_indices(side)):
+        return None
+    return tuple(bit_indices(sides[0])), tuple(bit_indices(sides[1]))
 
 
 def is_regular(g: Graph) -> int | None:

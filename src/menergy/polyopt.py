@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -187,13 +188,13 @@ class LpProblem:
 @dataclass(frozen=True)
 class LpSolution:
     """The exact contraction of an exact polynomial, rounded outward, so always certified,
-    and that polynomial rounded to float.  status is always "optimal", rounds 1."""
+    and that polynomial rounded to float.  Every solution is optimal, certified, one round."""
 
     polynomial: EvenPolynomial
     objective: float
-    status: str
-    certified: bool
-    rounds: int
+    status: ClassVar[str] = "optimal"
+    certified: ClassVar[bool] = True
+    rounds: ClassVar[int] = 1
 
 
 def lp_problem(g: Graph, degree: int, direction: str) -> LpProblem:
@@ -304,7 +305,7 @@ def solve_bound_lp(problem: LpProblem) -> LpSolution:
     numerator = sum(c * int(m) for c, m in zip(nums, problem.moments))
     bound = round_outward(numerator, den, problem.direction == "above")
     poly = EvenPolynomial(tuple(c / den for c in nums), problem.scale)
-    return LpSolution(poly, bound, "optimal", True, 1)
+    return LpSolution(poly, bound)
 
 
 @dataclass(frozen=True)

@@ -62,8 +62,16 @@ def _exact(power: np.ndarray) -> np.ndarray:
 
 
 def _inner(x: np.ndarray, y: np.ndarray, row_cap: int) -> int:
-    """Exact <x, y> of walk-count matrices whose termwise products sum to at most row_cap per row."""
-    if len(x) * row_cap < 2**53:  # every partial sum is an integer below 2^53
+    """Exact <x, y> of walk-count matrices whose termwise products sum to at most row_cap per row.
+
+    Where n row_cap misses the float64 tier, max(x) times the largest row sum of y also
+    bounds every row.  Float64 powers hold integers below 2^53 and n <= 2^11, so their
+    row sums are exact in uint64.
+    """
+    n = len(x)
+    if n * row_cap >= 2**53 and y.dtype != object:
+        row_cap = min(row_cap, int(x.max()) * int(y.astype(np.uint64).sum(axis=1).max()))
+    if n * row_cap < 2**53:  # every partial sum is an integer below 2^53
         return int(np.vdot(x, y))
     if row_cap < 2**63:
         return sum((x.astype(np.int64) * y.astype(np.int64)).sum(axis=1).tolist())
@@ -77,7 +85,8 @@ def trace_moments(g: Graph, max_power: int) -> list[int]:
     cross-check in moment_summary off the codegree matrix A^2.  Powers are float64
     BLAS products, escalated to Python integers when an entry of the next product
     could reach 2^53 (entries are walk counts, so every partial sum is bounded by
-    the final entry).  Row i of the sum for Tr(A^k) is (A^k)_ii <= D^k.
+    the final entry).  Row i of the sum for Tr(A^k) is (A^k)_ii <= D^k, or a tighter
+    cap read off the two half powers (_inner).
     """
     if max_power < 0:
         raise ValueError(f"power must be non-negative, got {max_power}")

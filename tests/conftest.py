@@ -8,7 +8,8 @@ eigensolver would otherwise dominate collection time.
 
 The oracles here deliberately avoid the code paths they check: closed walks
 are counted by depth-first enumeration rather than matrix powers,
-quadrilaterals by testing all three pairings of every 4-subset, and the
+quadrilaterals by testing all three pairings of every 4-subset, two-colourings
+by a stack depth-first search rather than breadth-first layers, and the
 parsers and Graph validation by the per-line and per-bit loops they replaced.
 """
 
@@ -168,9 +169,32 @@ def brute_force_srg(g: me.Graph) -> tuple[int, int, int, int] | None:
     return (g.n, degrees.pop(), lams.pop(), mus.pop())
 
 
+def reference_bipartition(g: me.Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Two-colouring by a stack depth-first search from each uncoloured vertex in turn."""
+    colour = [-1] * g.n
+    for start in range(g.n):
+        if colour[start] != -1:
+            continue
+        colour[start] = 0
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in range(g.n):
+                if not g.has_edge(v, w):
+                    continue
+                if colour[w] == -1:
+                    colour[w] = colour[v] ^ 1
+                    stack.append(w)
+                elif colour[w] == colour[v]:
+                    return None
+    left = tuple(i for i in range(g.n) if colour[i] == 0)
+    right = tuple(i for i in range(g.n) if colour[i] == 1)
+    return left, right
+
+
 def brute_force_design(g: me.Graph) -> tuple[int, int, int] | None:
     """Symmetric design parameters by counting common neighbours within each part."""
-    parts = me.bipartition(g)
+    parts = reference_bipartition(g)
     if parts is None or not parts[0] or len(parts[0]) != len(parts[1]):
         return None
     degrees = set(g.degrees())

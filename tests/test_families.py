@@ -46,8 +46,8 @@ def test_complete_structure():
 def test_cycle_structure():
     g = me.cycle(6)
     assert me.is_regular(g) == 2
-    assert me.is_bipartite(g)
-    assert not me.is_bipartite(me.cycle(7))
+    assert me.bipartition(g) is not None
+    assert me.bipartition(me.cycle(7)) is None
 
 
 def test_star_structure():
@@ -89,7 +89,7 @@ def test_projective_plane_counts():
         k = q * q + q + 1
         assert g.n == 2 * k
         assert me.is_regular(g) == q + 1
-        assert me.is_bipartite(g)
+        assert me.bipartition(g) is not None
         assert me.trace_moment(g, 3) == 0
         assert me.count_quadrilaterals(g) == 0
 
@@ -105,10 +105,11 @@ def test_heawood_is_projective_plane_of_order_two():
     p = me.projective_plane_incidence(2)
     assert (g.n, g.m) == (p.n, p.m)
     assert me.is_regular(g) == me.is_regular(p) == 3
-    assert me.is_bipartite(g) and me.is_bipartite(p)
+    assert me.bipartition(g) is not None and me.bipartition(p) is not None
     assert me.count_quadrilaterals(g) == me.count_quadrilaterals(p) == 0
     assert spectrum_of(g).eigenvalues == pytest.approx(spectrum_of(p).eigenvalues)
-    assert me.detect_design_incidence(g) == me.detect_design_incidence(p) == (7, 3, 1)
+    assert me.detect_design_incidence(g, summary_of(g)) == (7, 3, 1)
+    assert me.detect_design_incidence(p, summary_of(p)) == (7, 3, 1)
 
 
 def test_heawood_matches_lcf_fixture():
@@ -119,7 +120,7 @@ def test_heawood_matches_lcf_fixture():
     assert me.is_regular(fixture) == 3
     assert me.count_quadrilaterals(fixture) == 0
     assert spectrum_of(fixture).eigenvalues == pytest.approx(spectrum_of(g).eigenvalues)
-    assert me.detect_design_incidence(fixture) == (7, 3, 1)
+    assert me.detect_design_incidence(fixture, summary_of(fixture)) == (7, 3, 1)
 
 
 def test_random_gnp_deterministic():

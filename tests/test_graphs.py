@@ -11,7 +11,7 @@ import menergy as me
 from menergy import graphs
 from menergy.graphs import TRACE_MAX_VERTICES, GraphError, bit_indices
 
-from conftest import CORPUS_SPECS, corpus_graph
+from conftest import CORPUS_SPECS, corpus_graph, reference_bipartition
 
 
 def test_from_edges_basic():
@@ -265,7 +265,6 @@ def test_bipartition_even_cycle():
 
 def test_bipartition_odd_cycle_is_none():
     assert me.bipartition(corpus_graph("cycle:5")) is None
-    assert not me.is_bipartite(corpus_graph("cycle:5"))
 
 
 def test_bipartition_covers_all_components():
@@ -276,6 +275,38 @@ def test_bipartition_covers_all_components():
     assert sorted(left + right) == list(range(g.n))
     for i, j in g.edges():
         assert (i in left) != (j in left)
+
+
+@st.composite
+def _random_bipartite(draw) -> me.Graph:
+    """A random subgraph of K(a, b) with its vertices shuffled, so the parts interleave."""
+    a, b = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    order = draw(st.permutations(range(a + b)))
+    pairs = [(i, j) for i in range(a) for j in range(a, a + b)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
+    return me.Graph.from_edges(a + b, [(order[i], order[j]) for i, j in edges])
+
+
+_bipartition_cases = st.one_of(
+    st.builds(me.random_gnp, st.integers(0, 14), st.floats(0, 1), st.integers(0, 10_000)),
+    _random_bipartite(),
+    st.builds(
+        me.disjoint_union,
+        st.lists(
+            st.one_of(
+                _random_bipartite(),
+                st.builds(me.cycle, st.integers(1, 4).map(lambda h: 2 * h + 1)),
+                st.builds(me.Graph.from_edges, st.integers(1, 3), st.just([])),
+            ),
+            max_size=4,
+        ),
+    ),
+)
+
+
+@given(_bipartition_cases)
+def test_property_bipartition_matches_depth_first_reference(g):
+    assert me.bipartition(g) == reference_bipartition(g)
 
 
 def test_is_regular():
