@@ -50,7 +50,6 @@ from .moments import (
     NoEdgesError,
     ScaledMoments,
     codegree_matrix,
-    count_quadrilaterals,
     degree_stats,
     moment_summary,
     scaled_moments,
@@ -68,7 +67,6 @@ from .quartic import (
     EvenPolynomial,
     best_quartic_bound,
     bound_at_tangency,
-    dilate,
     optimal_tangency,
     tangent_quartic,
     van_dam_bound,
@@ -81,7 +79,6 @@ from .spectral import (
     adjacency_matrix,
     eigenvalues,
     energy,
-    trace_moment,
     trace_moments,
 )
 

@@ -29,8 +29,8 @@ from functools import cache, partial
 from typing import Callable, Iterator, TextIO
 
 from .families import FamilyError, generate_from_string
-from .graph6 import WHITESPACE, Graph6Error, parse_graph6, write_graph6
-from .graphs import Graph, GraphError, parse_edge_list
+from .graph6 import WHITESPACE, Graph6Error, graph6_order, parse_graph6, write_graph6
+from .graphs import TRACE_MAX_VERTICES, Graph, GraphError, parse_edge_list
 from .moments import MomentMismatchError, NoEdgesError
 from .polyopt import MAX_LP_DEGREE, bound_sweep
 from .report import analyze_graph, soundness_ok
@@ -116,7 +116,9 @@ def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
     for lineno, line in enumerate(content.split("\n"), start=1):
         if not line.strip(WHITESPACE):
             continue
-        try:
+        try:  # refuse an oversized graph from its size field, before decoding n^2 / 2 bits
+            if (n := graph6_order(line)) > TRACE_MAX_VERTICES:
+                raise GraphError(f"n={n} exceeds the dense-matrix cap {TRACE_MAX_VERTICES}")
             yield f"line {lineno}", parse_graph6(line)
         except (Graph6Error, GraphError) as err:
             raise InputError(f"line {lineno}: {err}") from err

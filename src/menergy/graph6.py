@@ -26,8 +26,12 @@ class Graph6Error(ValueError):
     """Malformed graph6 input, or a graph too large to encode."""
 
 
-def parse_graph6(line: str) -> Graph:
-    """Decode one graph6 string (an optional header is tolerated)."""
+def _size_field(line: str, checked: int | None) -> tuple[str, int, int]:
+    """The graph6 string on a line, its vertex count n and the length of its size field.
+
+    Whitespace and an optional header are removed first.  The first `checked`
+    characters (all of them for None) must lie in 63..126; 4 covers any size field.
+    """
     s = line.strip(WHITESPACE)
     if s.startswith(">>"):
         if not s.startswith(HEADER):
@@ -35,22 +39,29 @@ def parse_graph6(line: str) -> Graph:
         s = s[len(HEADER):]
     if not s:
         raise Graph6Error("empty graph6 string")
-    if min(s) < "?" or max(s) > "~":
-        pos = next(p for p, ch in enumerate(s) if not "?" <= ch <= "~")
+    if min(head := s[:checked]) < "?" or max(head) > "~":
+        pos = next(p for p, ch in enumerate(head) if not "?" <= ch <= "~")
         raise Graph6Error(
             f"invalid character {s[pos]!r} at position {pos} (byte {ord(s[pos])} outside 63..126)"
         )
-    data = np.frombuffer(s.encode("ascii"), np.uint8) - 63
-    if data[0] <= 62:
-        n = int(data[0])
-        body = data[1:]
-    else:
-        if len(data) >= 2 and data[1] == 63:
-            raise Graph6Error(f"6-byte size fields (n > {MAX_VERTICES}) are not supported")
-        if len(data) < 4:
-            raise Graph6Error("truncated size field")
-        n = int(data[1]) << 12 | int(data[2]) << 6 | int(data[3])
-        body = data[4:]
+    if s[0] != "~":
+        return s, ord(s[0]) - 63, 1
+    if len(s) >= 2 and s[1] == "~":
+        raise Graph6Error(f"6-byte size fields (n > {MAX_VERTICES}) are not supported")
+    if len(s) < 4:
+        raise Graph6Error("truncated size field")
+    return s, (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | (ord(s[3]) - 63), 4
+
+
+def graph6_order(line: str) -> int:
+    """The vertex count of a graph6 line, read from its size field without decoding the rest."""
+    return _size_field(line, 4)[1]
+
+
+def parse_graph6(line: str) -> Graph:
+    """Decode one graph6 string (an optional header is tolerated)."""
+    s, n, start = _size_field(line, None)
+    body = np.frombuffer(s[start:].encode("ascii"), np.uint8) - 63
     nbits = n * (n - 1) // 2
     ngroups = (nbits + 5) // 6
     if len(body) < ngroups:

@@ -70,15 +70,6 @@ def _quad_count_checked(c: np.ndarray, zagreb: int, m: int, t4: int) -> int:
     return q
 
 
-def count_quadrilaterals(g: Graph) -> int:
-    """Number of 4-cycles as subgraphs, each counted once.
-
-    Counted from codegrees (each 4-cycle contributes one pair of opposite
-    vertices twice) and re-derived from Tr(A^4); disagreement raises.
-    """
-    return moment_summary(g).quad_count
-
-
 @dataclass(frozen=True)
 class MomentSummary:
     """Exact integer moment data for one graph, with the codegree matrix it was counted from."""

@@ -6,10 +6,10 @@ For 0 < r < 1 the even quartic
 
 touches y = x at x = r (tangentially) and at x = 1, and majorises |x| on
 [-1, 1].  Dilating to [-D, D] and contracting against the spectral moments
-(n, M2, M4) gives an upper bound on graph energy for every r.  The optimal
-tangency point, its clamps and the bound at it are computed from the exact
-integers c0 = n D^2 - M2 and c1 = D^2 M2 - M4, and the bound is rounded up
-once, so the printed bound is proved rather than close to one.
+(n, M2, M4) gives an upper bound on graph energy for every r; bound_at_tangency
+contracts in exact integers and rounds up once, so each bound is proved.  The
+optimal tangency point and its clamps are decided on the exact integers
+c0 = n D^2 - M2 and c1 = D^2 M2 - M4.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .moments import MomentSummary, NoEdgesError, ScaledMoments
+from .moments import MomentSummary, NoEdgesError
 
 # Clamped tangency points sit just inside the open interval (0, 1).
 _EDGE_MARGIN = 1e-9
@@ -70,20 +70,6 @@ def tangent_quartic(r: float) -> EvenPolynomial:
     c2 = (3.0 * r * r + 2.0 * r + 1.0) / den
     c4 = -1.0 / den
     return EvenPolynomial((c0, c2, c4), 1.0)
-
-
-def dilate(p: EvenPolynomial, new_scale: float) -> EvenPolynomial:
-    """Rescale a unit-interval polynomial to [-new_scale, new_scale].
-
-    The dilation x -> new_scale * p(x / new_scale) preserves tangency to
-    y = x and maps coefficient c[j] to c[j] * new_scale**(1 - 2j).
-    """
-    if p.scale != 1.0:
-        raise ValueError("dilation starts from a unit-interval polynomial")
-    if not (math.isfinite(new_scale) and new_scale > 0):
-        raise ValueError(f"dilation scale must be positive, got {new_scale}")
-    coeffs = tuple(c * new_scale ** (1 - 2 * j) for j, c in enumerate(p.coefficients))
-    return EvenPolynomial(coeffs, float(new_scale))
 
 
 class MajorizationCheck(NamedTuple):
@@ -173,12 +159,6 @@ def violation_minima(
     return out[:8]
 
 
-def bound_at_tangency(sm: ScaledMoments, r: float) -> float:
-    """Energy bound from the tangent quartic at tangency point r, in floats."""
-    c0, c2, c4 = tangent_quartic(r).coefficients
-    return c0 * sm.m0_scaled + c2 * sm.m2_scaled + c4 * sm.m4_scaled
-
-
 def optimal_tangency(s: MomentSummary) -> tuple[float, bool]:
     """The tangency point minimising the quartic bound, and whether it was clamped.
 
@@ -202,20 +182,29 @@ def round_outward(num: int, den: int, up: bool) -> float:
     return bound
 
 
-def best_quartic_bound(s: MomentSummary) -> float:
-    """The optimal tangent-quartic energy bound, exact in integers and rounded up once.
+def bound_at_tangency(s: MomentSummary, r: float) -> float:
+    """The tangent-quartic energy bound at tangency point r, exact in integers and rounded up once.
 
     With r = a / b, the dilated P_r against (n, M2, M4) is N / (2a (a+b)^2 D^3),
     N = a^2 (2a+b) n D^4 + b (3a^2+2ab+b^2) M2 D^2 - b^3 M4: a bound for every r
-    in (0, 1).  If c1 = 0 it is the infimum M2 / D, which is the energy.
+    in (0, 1).
     """
     if (d := s.max_degree) < 1:
         raise NoEdgesError("the quartic bound needs at least one edge")
-    if s.gaps[1] == 0:
-        return round_outward(s.m2, d, True)
-    a, b = optimal_tangency(s)[0].as_integer_ratio()
+    if not 0.0 < r < 1.0:
+        raise ValueError(f"tangency point must lie strictly inside (0, 1), got {r}")
+    a, b = r.as_integer_ratio()
     num = a * a * (2 * a + b) * s.n * d**4 + b * (3 * a * a + 2 * a * b + b * b) * s.m2 * d * d
     return round_outward(num - b**3 * s.m4, 2 * a * (a + b) ** 2 * d**3, True)
+
+
+def best_quartic_bound(s: MomentSummary) -> float:
+    """bound_at_tangency at optimal_tangency; if c1 = 0, the infimum M2 / D (the energy) rounded up."""
+    if s.max_degree < 1:
+        raise NoEdgesError("the quartic bound needs at least one edge")
+    if s.gaps[1] == 0:
+        return round_outward(s.m2, s.max_degree, True)
+    return bound_at_tangency(s, optimal_tangency(s)[0])
 
 
 def van_dam_bound(n: int, d: int) -> float:

@@ -109,7 +109,3 @@ def trace_moments(g: Graph, max_power: int) -> list[int]:
         out.append(_inner(powers[low], powers[k - low], max_degree**k))
     return out
 
-
-def trace_moment(g: Graph, k: int) -> int:
-    """Exact Tr(A^k), the number of closed walks of length k."""
-    return trace_moments(g, k)[k]

@@ -119,13 +119,16 @@ def count_closed_walks(g: me.Graph, length: int) -> int:
     return sum(walks(v, length, v) for v in range(g.n))
 
 
-def quartic_contraction(s: me.MomentSummary) -> Fraction:
-    """The tangent quartic P_r at the printed tangency r, dilated to [-D, D] and
-    contracted against (n, M2, M4) in Fractions; the infimum M2 / D when D^2 M2 = M4."""
+def quartic_contraction(s: me.MomentSummary, r: float | None = None) -> Fraction:
+    """The tangent quartic P_r, dilated to [-D, D] and contracted against (n, M2, M4) in
+    Fractions.  r defaults to the printed tangency, where the value is the infimum M2 / D
+    when D^2 M2 = M4."""
     d = Fraction(s.max_degree)
-    if d * d * s.m2 == s.m4:
-        return s.m2 / d
-    r = Fraction(me.optimal_tangency(s)[0])
+    if r is None:
+        if d * d * s.m2 == s.m4:
+            return s.m2 / d
+        r = me.optimal_tangency(s)[0]
+    r = Fraction(r)
     den = 2 * r * (r + 1) ** 2
     unit = (r * r * (2 * r + 1) / den, (3 * r * r + 2 * r + 1) / den, -1 / den)
     c0, c2, c4 = (c * d ** (1 - 2 * j) for j, c in enumerate(unit))

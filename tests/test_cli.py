@@ -407,6 +407,17 @@ def test_graph_above_vertex_cap_is_refused(command, in_format, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("command", COMMANDS)
+def test_graph6_line_above_vertex_cap_is_refused_at_its_size_field(command, tmp_path, capsys):
+    # n = 3000 needs 749 750 body groups; the 6 given would be "truncated" once decoded.
+    path = tmp_path / "big.g6"
+    path.write_text("~" + "".join(chr(63 + ((3000 >> s) & 63)) for s in (12, 6, 0)) + "?" * 6 + "\n")
+    code, out, err = run_cli(COMMANDS[command] + ["--in", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"line 1: n=3000 exceeds the dense-matrix cap {TRACE_MAX_VERTICES}\n"
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_generated_graph_above_vertex_cap_is_refused(command, capsys):
     code, out, err = run_cli(COMMANDS[command] + ["--gen", "cycle:3000"], capsys)
     assert code == 1

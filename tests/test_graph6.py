@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import menergy as me
-from menergy.graph6 import Graph6Error, MAX_VERTICES
+from menergy.graph6 import Graph6Error, MAX_VERTICES, graph6_order
 
 from conftest import CORPUS_SPECS, corpus_graph
 
@@ -74,6 +74,30 @@ def test_long_form_size_field():
 def test_parse_rejects(text, message):
     with pytest.raises(Graph6Error, match=message):
         me.parse_graph6(text)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "empty graph6"),
+        ("~", "truncated size field"),
+        ("~~", "6-byte size fields"),
+        ("~?!?", "at position 2 .* outside 63..126"),
+        (">>graph5<<A_", "bad header"),
+    ],
+)
+def test_size_field_read_rejects_what_the_parser_rejects_first(text, message):
+    for read in (graph6_order, me.parse_graph6):
+        with pytest.raises(Graph6Error, match=message):
+            read(text)
+
+
+@pytest.mark.parametrize("n", [0, 1, 62, 63, 3000])
+def test_size_field_read_gives_the_order(n):
+    text = me.write_graph6(me.Graph(n, (0,) * n))
+    assert graph6_order(">>graph6<<" + text + "\r\n") == n
+    # The body is not read: a truncated line still declares its order.
+    assert graph6_order(text[: 1 if n <= 62 else 4]) == n
 
 
 def test_round_trip_above_vertex_cap():

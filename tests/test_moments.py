@@ -42,20 +42,20 @@ def test_degree_stats():
 def test_quad_counts_on_small_families(spec, expected):
     g = corpus_graph(spec)
     oracle = brute_force_quad_count(g)
-    assert me.count_quadrilaterals(g) == oracle
+    assert me.moment_summary(g).quad_count == oracle
     assert oracle == expected
 
 
 def test_rook3_quad_count_matches_oracle_only():
     # The closed form for rook graphs is easy to fumble; trust enumeration.
     g = corpus_graph("rook:3")
-    assert me.count_quadrilaterals(g) == brute_force_quad_count(g)
+    assert me.moment_summary(g).quad_count == brute_force_quad_count(g)
 
 
 @pytest.mark.parametrize("spec", [s for s in CORPUS_SPECS if me.generate_from_string(s).n <= 12])
 def test_quad_count_matches_brute_force(spec):
     g = corpus_graph(spec)
-    assert me.count_quadrilaterals(g) == brute_force_quad_count(g)
+    assert me.moment_summary(g).quad_count == brute_force_quad_count(g)
 
 
 @pytest.mark.parametrize("spec", CORPUS_SPECS)
@@ -64,8 +64,8 @@ def test_summary_agrees_with_walk_formulas(spec):
     s = summary_of(g)
     assert s.m2 == 2 * s.m
     assert s.m4 == 2 * s.zagreb - 2 * s.m + 8 * s.quad_count
-    assert s.m2 == me.trace_moment(g, 2)
-    assert s.m4 == me.trace_moment(g, 4)
+    assert s.m2 == me.trace_moments(g, 2)[2]
+    assert s.m4 == me.trace_moments(g, 4)[4]
 
 
 @pytest.mark.parametrize("spec", CORPUS_SPECS)
@@ -126,8 +126,8 @@ def _gnp_strategy():
 def test_property_quads_and_moments(params):
     n, p, seed = params
     g = me.random_gnp(n, p, seed)
-    assert me.count_quadrilaterals(g) == brute_force_quad_count(g)
-    assert me.trace_moment(g, 4) == count_closed_walks(g, 4)
+    assert me.moment_summary(g).quad_count == brute_force_quad_count(g)
+    assert me.trace_moments(g, 4)[4] == count_closed_walks(g, 4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -147,4 +147,4 @@ def test_property_edge_add_monotonicity(params, pick):
     extra = missing[pick % len(missing)]
     bigger = me.Graph.from_edges(n, list(g.edges()) + [extra])
     assert me.moment_summary(bigger).m2 == me.moment_summary(g).m2 + 2
-    assert me.count_quadrilaterals(bigger) >= me.count_quadrilaterals(g)
+    assert me.moment_summary(bigger).quad_count >= me.moment_summary(g).quad_count

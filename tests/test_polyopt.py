@@ -222,7 +222,7 @@ def test_degree_two_closed_forms(spec):
     # Above: the tangent parabola gives sqrt(n * M2); below: x^2 / D gives M2 / D.
     g = corpus_graph(spec)
     n = g.n
-    m2 = me.trace_moment(g, 2)
+    m2 = me.trace_moments(g, 2)[2]
     dmax = me.degree_stats(g).max_degree
     up = solve_bound_lp(lp_problem(g, 2, "above"))
     lo = solve_bound_lp(lp_problem(g, 2, "below"))
@@ -373,7 +373,7 @@ def _grid_lp_bound(g, degree, direction, points=4000, box=1e4):
     basis = np.zeros((k + 1, k + 1))
     for j in range(k + 1):
         basis[: j + 1, j] = np.polynomial.chebyshev.cheb2poly([0] * (2 * j) + [1])[::2]
-    nu = np.array([me.trace_moment(g, 2 * i) / dmax ** (2 * i) for i in range(k + 1)])
+    nu = np.array([me.trace_moments(g, 2 * i)[2 * i] / dmax ** (2 * i) for i in range(k + 1)])
     cost = dmax * (basis.T @ nu)
     u = (1.0 - np.cos(np.pi * np.arange(points) / (points - 1))) / 2.0
     tvals = np.polynomial.chebyshev.chebvander(u, 2 * k)[:, ::2]

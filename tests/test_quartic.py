@@ -73,22 +73,6 @@ def test_even_polynomial_rejects_nonfinite():
         me.EvenPolynomial((1.0,), scale=0.0)
 
 
-def test_dilate_maps_interval():
-    r = 0.4
-    p = me.tangent_quartic(r)
-    q = me.dilate(p, 5.0)
-    assert q.scale == 5.0
-    for x in (0.3, 2.0, 4.9):
-        assert q(x) == pytest.approx(p(x / 5.0) * 5.0, rel=1e-12)
-    assert q(5.0 * r) == pytest.approx(5.0 * r, abs=1e-10)
-
-
-def test_dilate_requires_unit_source():
-    q = me.dilate(me.tangent_quartic(0.5), 3.0)
-    with pytest.raises(ValueError):
-        me.dilate(q, 6.0)
-
-
 def test_verify_majorization_flags_failure():
     # x^2 sits below x on (0, 1), so it cannot majorize |x|.
     p = me.EvenPolynomial((0.0, 1.0), scale=1.0)
@@ -108,36 +92,52 @@ def test_verify_majorization_below_direction():
 @pytest.mark.parametrize("spec", ["petersen", "heawood", "gnp:15:0.5:2", "rook:4"])
 @pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
 def test_bound_at_tangency_equals_polynomial_route(spec, r):
-    """The closed-form evaluation must agree with dilate-then-contract."""
-    g = corpus_graph(spec)
-    s = summary_of(g)
-    sm = me.scaled_moments(s)
-    via_formula = me.bound_at_tangency(sm, r)
-    c0, c2, c4 = me.dilate(me.tangent_quartic(r), float(s.max_degree)).coefficients
-    assert via_formula == pytest.approx(c0 * s.n + c2 * s.m2 + c4 * s.m4, rel=1e-9)
+    """The integer formula is the dilated P_r contracted in Fractions, rounded up once."""
+    s = summary_of(corpus_graph(spec))
+    assert_rounded_up(me.bound_at_tangency(s, r), quartic_contraction(s, r))
+
+
+@pytest.mark.parametrize("spec", unclamped_specs())
+def test_bound_at_tangency_is_the_exact_contraction_at_every_sampled_r(spec):
+    s = summary_of(corpus_graph(spec))
+    for k in range(1, 100):
+        assert_rounded_up(me.bound_at_tangency(s, k / 100), quartic_contraction(s, k / 100))
+
+
+def test_bound_at_tangency_rejects_edgeless_graphs_and_r_outside_the_interval():
+    with pytest.raises(me.NoEdgesError):
+        me.bound_at_tangency(summary_of(corpus_graph("path:1")), 0.5)
+    s = summary_of(corpus_graph("petersen"))
+    for r in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="strictly inside"):
+            me.bound_at_tangency(s, r)
+
+
+def test_bound_at_the_optimal_tangency_never_undercuts_heawood_or_k7():
+    s = summary_of(corpus_graph("heawood"))
+    heawood = me.bound_at_tangency(s, me.optimal_tangency(s)[0])
+    assert heawood > 6 and (Fraction(heawood) - 6) ** 2 >= 288  # energy 6 + 12 sqrt(2)
+    s = summary_of(corpus_graph("complete:7"))
+    assert me.bound_at_tangency(s, me.optimal_tangency(s)[0]) >= 12  # energy 2 (7 - 1)
 
 
 @pytest.mark.parametrize("spec", unclamped_specs())
 def test_optimal_tangency_beats_sampled_r(spec):
     s = summary_of(corpus_graph(spec))
-    sm = me.scaled_moments(s)
     r_star, clamped = me.optimal_tangency(s)
     assert not clamped
     assert 0.0 < r_star < 1.0
-    best = me.bound_at_tangency(sm, r_star)
+    best = me.bound_at_tangency(s, r_star)
     for k in range(1, 100):
         r = k / 100.0
-        assert best <= me.bound_at_tangency(sm, r) + 1e-9 * max(1.0, best)
+        assert best <= me.bound_at_tangency(s, r) + 1e-9 * max(1.0, best)
 
 
 @pytest.mark.parametrize("spec", unclamped_specs())
 def test_best_quartic_bound_is_stationary_value(spec):
     s = summary_of(corpus_graph(spec))
-    sm = me.scaled_moments(s)
     r_star, _ = me.optimal_tangency(s)
-    assert me.best_quartic_bound(s) == pytest.approx(
-        me.bound_at_tangency(sm, r_star), rel=1e-11
-    )
+    assert me.best_quartic_bound(s) == me.bound_at_tangency(s, r_star)
 
 
 def test_clamped_cases():
@@ -199,11 +199,13 @@ def test_property_bound_sound_and_optimal(n, p, seed):
     if g.m == 0:
         return
     s = summary_of(g)
-    sm = me.scaled_moments(s)
     bound = me.best_quartic_bound(s)
     assert_rounded_up(bound, quartic_contraction(s))
     assert bound >= me.energy(g) - 1e-7 * max(1.0, me.energy(g))
     r_star, clamped = me.optimal_tangency(s)
     if not clamped:
+        assert bound == me.bound_at_tangency(s, r_star)
         for r in (0.05, 0.33, 0.66, 0.95):
-            assert bound <= me.bound_at_tangency(sm, r) + 1e-9 * max(1.0, bound)
+            assert bound <= me.bound_at_tangency(s, r) + 1e-9 * max(1.0, bound)
+    for k in range(1, 100):
+        assert_rounded_up(me.bound_at_tangency(s, k / 100), quartic_contraction(s, k / 100))

@@ -76,7 +76,7 @@ def test_spectrum_refused_above_vertex_cap():
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 6])
 def test_trace_moments_count_closed_walks(spec, k):
     g = corpus_graph(spec)
-    assert me.trace_moment(g, k) == count_closed_walks(g, k)
+    assert me.trace_moments(g, k)[k] == count_closed_walks(g, k)
 
 
 @pytest.mark.parametrize("spec", CORPUS_SPECS)
@@ -105,9 +105,9 @@ def test_odd_moments_vanish_on_bipartite():
 
 def test_trace_moment_caps():
     with pytest.raises(CapExceededError):
-        me.trace_moment(corpus_graph("petersen"), TRACE_MAX_POWER + 2)
+        me.trace_moments(corpus_graph("petersen"), TRACE_MAX_POWER + 2)
     with pytest.raises(ValueError, match="non-negative"):
-        me.trace_moment(corpus_graph("petersen"), -1)
+        me.trace_moments(corpus_graph("petersen"), -1)
     assert TRACE_MAX_VERTICES >= 2048
 
 
