@@ -28,8 +28,8 @@ from contextlib import nullcontext
 from functools import cache, partial
 from typing import Callable, Iterator, TextIO
 
-from .families import FamilyError, generate_from_string
-from .graph6 import WHITESPACE, Graph6Error, graph6_order, parse_graph6, write_graph6
+from .families import FamilyError, generate, parse_family_spec
+from .graph6 import WHITESPACE, Graph6Error, check_encodable, graph6_order, parse_graph6, write_graph6
 from .graphs import TRACE_MAX_VERTICES, Graph, GraphError, parse_edge_list
 from .moments import MomentMismatchError, NoEdgesError
 from .polyopt import MAX_LP_DEGREE, bound_sweep
@@ -86,12 +86,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _check_cap(n: int) -> None:
+    """Refuse a graph from its vertex count, before building it: the cost grows as n^2."""
+    if n > TRACE_MAX_VERTICES:
+        raise GraphError(f"n={n} exceeds the dense-matrix cap {TRACE_MAX_VERTICES}")
+
+
 def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
     if args.gen is not None:
         try:
-            g = generate_from_string(args.gen)
+            spec = parse_family_spec(args.gen)
+            _check_cap(spec.order)
+            g = generate(spec)
         except FamilyError as err:
             raise InputError(f"bad family spec {args.gen!r}: {err}") from err
+        except GraphError as err:
+            raise InputError(f"{spec}: {err}") from err
         yield g.label, g
         return
     try:
@@ -116,9 +126,8 @@ def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
     for lineno, line in enumerate(content.split("\n"), start=1):
         if not line.strip(WHITESPACE):
             continue
-        try:  # refuse an oversized graph from its size field, before decoding n^2 / 2 bits
-            if (n := graph6_order(line)) > TRACE_MAX_VERTICES:
-                raise GraphError(f"n={n} exceeds the dense-matrix cap {TRACE_MAX_VERTICES}")
+        try:  # the size field gives n before n^2 / 2 bits are decoded
+            _check_cap(graph6_order(line))
             yield f"line {lineno}", parse_graph6(line)
         except (Graph6Error, GraphError) as err:
             raise InputError(f"line {lineno}: {err}") from err
@@ -227,7 +236,9 @@ def cmd_generate(args: argparse.Namespace, sink: TextIO) -> int:
     lines = []
     try:
         for spec_text in args.spec:
-            lines.append(write_graph6(generate_from_string(spec_text)))
+            spec = parse_family_spec(spec_text)
+            check_encodable(spec.order)  # before building the graph
+            lines.append(write_graph6(generate(spec)))
     except (FamilyError, Graph6Error) as err:
         print(str(err), file=sys.stderr)
         return 1

@@ -39,7 +39,19 @@ class FamilySpec:
             return "union:" + ",".join(str(p) for p in self.parts)
         if not self.params:
             return self.kind
-        return self.kind + ":" + ":".join(f"{p:g}" if isinstance(p, float) else str(p) for p in self.params)
+        return self.kind + ":" + ":".join(_float_text(p) if isinstance(p, float) else str(p) for p in self.params)
+
+    @property
+    def order(self) -> int:
+        """The vertex count of the graph this spec builds, found without building it."""
+        if self.kind == "union":
+            return sum(part.order for part in self.parts)
+        return _family(self.kind)[2](*self.params)
+
+
+def _float_text(p: float) -> str:
+    """p as short as %g writes it when that text reads back as p, else as repr(p)."""
+    return text if float(text := f"{p:g}") == p else repr(p)
 
 
 def complete(n: int) -> Graph:
@@ -139,14 +151,6 @@ def heawood() -> Graph:
     return Graph(g.n, g.adj, label="heawood")
 
 
-# Independent presentation of the Heawood graph for cross-checking the
-# incidence construction: a 14-cycle with chords i -- i+5 from even i
-# (LCF notation [5, -5]^7).
-HEAWOOD_FIXTURE_EDGES: tuple[tuple[int, int], ...] = tuple(
-    [(i, (i + 1) % 14) for i in range(14)] + [(i, (i + 5) % 14) for i in range(0, 14, 2)]
-)
-
-
 def random_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n, p), deterministic for a given seed.
 
@@ -163,33 +167,38 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
         for j in range(i + 1, n):
             if rng.random() < p:
                 edges.append((i, j))
-    return Graph.from_edges(n, edges, label=f"gnp:{n}:{p:g}:{seed}")
+    return Graph.from_edges(n, edges, label=f"gnp:{n}:{_float_text(p)}:{seed}")
 
 
 def disjoint_union(graphs: list[Graph], label: str = "") -> Graph:
     """Vertex-disjoint union; vertex blocks keep the input order."""
-    total = sum(g.n for g in graphs)
-    edges = []
-    offset = 0
+    rows: list[int] = []
     for g in graphs:
-        edges.extend((offset + i, offset + j) for i, j in g.edges())
-        offset += g.n
-    return Graph.from_edges(total, edges, label=label)
+        offset = len(rows)
+        rows.extend(row << offset for row in g.adj)
+    return Graph(len(rows), tuple(rows), label)
 
 
-# kind -> (builder, number of parameters); union is handled by the grammar itself.
+# kind -> (builder, number of parameters, vertex count from the parameters);
+# union is handled by the grammar itself.
 _FAMILIES = {
-    "complete": (complete, 1),
-    "cycle": (cycle, 1),
-    "path": (path, 1),
-    "star": (star, 1),
-    "bipartite": (complete_bipartite, 2),
-    "petersen": (petersen, 0),
-    "heawood": (heawood, 0),
-    "rook": (rook, 1),
-    "projective": (projective_plane_incidence, 1),
-    "gnp": (random_gnp, 3),
+    "complete": (complete, 1, lambda n: n),
+    "cycle": (cycle, 1, lambda n: n),
+    "path": (path, 1, lambda n: n),
+    "star": (star, 1, lambda k: k + 1),
+    "bipartite": (complete_bipartite, 2, lambda p, q: p + q),
+    "petersen": (petersen, 0, lambda: 10),
+    "heawood": (heawood, 0, lambda: 14),
+    "rook": (rook, 1, lambda s: s * s),
+    "projective": (projective_plane_incidence, 1, lambda q: 2 * (q * q + q + 1)),
+    "gnp": (random_gnp, 3, lambda n, p, seed: n),
 }
+
+
+def _family(kind: str) -> tuple:
+    if kind not in _FAMILIES:
+        raise FamilyError(f"unknown family {kind!r}")
+    return _FAMILIES[kind]
 
 
 def parse_family_spec(text: str) -> FamilySpec:
@@ -211,9 +220,7 @@ def parse_family_spec(text: str) -> FamilySpec:
     fields = t.split(":")
     kind = fields[0]
     args = fields[1:]
-    if kind not in _FAMILIES:
-        raise FamilyError(f"unknown family {kind!r}")
-    arity = _FAMILIES[kind][1]
+    arity = _family(kind)[1]
     if len(args) != arity:
         raise FamilyError(f"{kind} takes {arity} parameter(s), got {len(args)}")
     try:
@@ -231,9 +238,7 @@ def generate(spec: FamilySpec) -> Graph:
     if spec.kind == "union":
         graphs = [generate(part) for part in spec.parts]
         return disjoint_union(graphs, label=str(spec))
-    if spec.kind not in _FAMILIES:
-        raise FamilyError(f"unknown family {spec.kind!r}")
-    return _FAMILIES[spec.kind][0](*spec.params)
+    return _family(spec.kind)[0](*spec.params)
 
 
 def generate_from_string(text: str) -> Graph:

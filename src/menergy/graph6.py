@@ -81,11 +81,15 @@ def parse_graph6(line: str) -> Graph:
     return Graph._from_pairs(n, k - starts[j], j)
 
 
-def write_graph6(g: Graph) -> str:
-    """Encode a graph canonically (no header, minimal size field)."""
-    n = g.n
+def check_encodable(n: int) -> None:
+    """Raise Graph6Error if the size field cannot hold n."""
     if n > MAX_VERTICES:
         raise Graph6Error(f"graph too large to encode: n={n} exceeds {MAX_VERTICES}")
+
+
+def write_graph6(g: Graph) -> str:
+    """Encode a graph canonically (no header, minimal size field)."""
+    check_encodable(n := g.n)
     size = [n] if n <= 62 else [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
     ends = np.fromiter(g.edges(), np.dtype((np.int64, 2)))
     k = ends[:, 1] * (ends[:, 1] - 1) // 2 + ends[:, 0]  # stream position of x(i, j)

@@ -15,7 +15,7 @@ c0 = n D^2 - M2 and c1 = D^2 M2 - M4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -207,14 +207,12 @@ def best_quartic_bound(s: MomentSummary) -> float:
     return bound_at_tangency(s, optimal_tangency(s)[0])
 
 
-def van_dam_bound(n: int, d: int) -> float:
-    """Energy bound n (d + (d^2 - d) sqrt(d-1)) / (d^2 - d + 1) for d-regular graphs.
+def van_dam_bound(s: MomentSummary) -> float:
+    """The bound of van Dam, Haemers and Koolen (2014) for a d-regular graph, proved and rounded up.
 
-    Agrees with the optimal quartic bound on regular graphs without
-    quadrilaterals, where the minimiser is sqrt(d-1)/d.
+    It is best_quartic_bound of the moments with the 4-cycles taken out,
+    M2 = nd and M4 = 2 zagreb - 2m = nd (2d - 1); only n, D, M2 and M4 enter it.
     """
-    if d < 1:
-        raise ValueError(f"degree must be at least 1, got {d}")
-    if n < 2:
-        raise ValueError(f"order must be at least 2, got {n}")
-    return n * (d + (d * d - d) * math.sqrt(d - 1.0)) / (d * d - d + 1)
+    if s.n * s.max_degree != 2 * s.m:
+        raise ValueError("the van Dam bound needs a regular graph")
+    return best_quartic_bound(replace(s, quad_count=0, m4=2 * s.zagreb - 2 * s.m))

@@ -54,8 +54,7 @@ def analyze_graph(g: Graph) -> BoundReport:
     scaled = scaled_moments(summary)
     tangency, clamped = optimal_tangency(summary)
     bound = best_quartic_bound(summary)
-    degree = is_regular(g)
-    vd = van_dam_bound(g.n, degree) if degree is not None else None
+    vd = van_dam_bound(summary) if is_regular(g) is not None else None
     classification = classify_equality(g, summary)
     return BoundReport(
         summary=summary,

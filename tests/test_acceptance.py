@@ -67,7 +67,9 @@ def test_criterion_4_strict_inequality_sanity():
     g = corpus_graph("petersen")
     report = me.analyze_graph(g)
     assert report.energy == pytest.approx(16.0, rel=1e-7)
-    assert report.quartic_bound == pytest.approx(me.van_dam_bound(10, 3), rel=1e-9)
+    assert report.quartic_bound == report.van_dam_bound == pytest.approx(
+        10 * (3 + 6 * math.sqrt(2)) / 7, rel=1e-12
+    )
     assert report.quartic_bound - report.energy >= 0.3
     assert str(report.classification) == "NotTight"
     _report("petersen bound strictly exceeds energy by at least 0.3")

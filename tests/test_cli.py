@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 import menergy.cli as cli
 from menergy.cli import ANALYZE_COLUMNS, SWEEP_COLUMNS, main
+from menergy.graph6 import MAX_VERTICES
+from menergy.graphs import Graph
 from menergy.report import SOUNDNESS_RTOL
 from menergy.spectral import TRACE_MAX_VERTICES
 
@@ -425,6 +427,38 @@ def test_generated_graph_above_vertex_cap_is_refused(command, capsys):
     assert err == f"cycle:3000: n=3000 exceeds the dense-matrix cap {TRACE_MAX_VERTICES}\n"
 
 
+def _must_not_build(*args, **kwargs):
+    raise AssertionError("built a graph above the cap")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "spec, n",
+    [
+        ("cycle:3000", 3000),
+        ("gnp:4000:0.5:1", 4000),
+        ("union:complete:2,cycle:2047", 2049),
+        ("union:petersen,rook:1000", 1000010),
+    ],
+)
+def test_generated_spec_above_vertex_cap_is_refused_before_building(
+    command, spec, n, monkeypatch, capsys
+):
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(_must_not_build))
+    code, out, err = run_cli(COMMANDS[command] + ["--gen", spec], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"{spec}: n={n} exceeds the dense-matrix cap {TRACE_MAX_VERTICES}\n"
+
+
+def test_generate_refuses_spec_above_graph6_size_field_before_building(monkeypatch, capsys):
+    monkeypatch.setattr(Graph, "from_edges", staticmethod(_must_not_build))
+    code, out, err = run_cli(["generate", f"cycle:{MAX_VERTICES + 1}", "petersen"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"graph too large to encode: n={MAX_VERTICES + 1} exceeds {MAX_VERTICES}\n"
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize(
     "in_format, data, line",
@@ -509,7 +543,7 @@ def _must_not_run(*args, **kwargs):
     [
         pytest.param(["analyze", "--gen", "petersen"], "analyze_graph", id="analyze"),
         pytest.param(["sweep", "--gen", "petersen", "--max-degree", "4"], "bound_sweep", id="sweep"),
-        pytest.param(["generate", "petersen"], "generate_from_string", id="generate"),
+        pytest.param(["generate", "petersen"], "parse_family_spec", id="generate"),
     ],
 )
 def test_unwritable_out_fails_before_any_work(argv, hook, monkeypatch, tmp_path, capsys):

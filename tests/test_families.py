@@ -1,11 +1,20 @@
 """Generator families: sizes, structure, spec grammar, determinism."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import menergy as me
-from menergy.families import FamilyError, FamilySpec, HEAWOOD_FIXTURE_EDGES
+from menergy.families import FamilyError, FamilySpec
 
 from conftest import spectrum_of, summary_of
+
+# Independent presentation of the Heawood graph for cross-checking the
+# incidence construction: a 14-cycle with chords i -- i+5 from even i
+# (LCF notation [5, -5]^7).
+HEAWOOD_FIXTURE_EDGES = [(i, (i + 1) % 14) for i in range(14)] + [
+    (i, (i + 5) % 14) for i in range(0, 14, 2)
+]
 
 
 @pytest.mark.parametrize(
@@ -35,6 +44,7 @@ def test_family_sizes(spec, n, m):
     g = me.generate_from_string(spec)
     assert (g.n, g.m) == (n, m)
     assert g.label == spec
+    assert me.parse_family_spec(spec).order == n
 
 
 def test_complete_structure():
@@ -136,9 +146,26 @@ def test_random_gnp_extremes():
     assert me.random_gnp(9, 1.0, 1).m == 36
 
 
+def test_gnp_label_keeps_every_digit_of_p():
+    # %g keeps 6 significant digits: gnp:60:0.100005:9853 is another graph, with 171 edges.
+    g = me.generate_from_string("gnp:60:0.1000049:9853")
+    assert g.label == "gnp:60:0.1000049:9853" and g.m == 170
+    assert me.random_gnp(12, 0.3, 42).label == "gnp:12:0.3:42"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 12), st.floats(0.0, 1.0), st.integers(0, 2**32))
+def test_gnp_label_builds_the_same_graph(n, p, seed):
+    g = me.random_gnp(n, p, seed)
+    assert me.parse_family_spec(g.label).params == (n, p, seed)
+    assert str(me.parse_family_spec(g.label)) == g.label
+    assert me.generate_from_string(g.label) == g
+
+
 def test_disjoint_union_counts():
     g = me.generate_from_string("union:complete:3,cycle:4")
     assert (g.n, g.m) == (7, 7)
+    assert list(g.edges()) == [(0, 1), (0, 2), (1, 2), (3, 4), (3, 6), (4, 5), (5, 6)]
     assert not me.is_connected(g)
     k3 = summary_of(me.complete(3))
     c4 = summary_of(me.cycle(4))

@@ -1,7 +1,9 @@
 """Tangent-quartic family, majorization checks, the exact optimal bound."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,24 +170,43 @@ def test_known_bounds():
 
 
 def test_van_dam_bound_values():
-    assert me.van_dam_bound(14, 3) == pytest.approx(6 + 12 * math.sqrt(2), rel=1e-12)
-    assert me.van_dam_bound(10, 3) == pytest.approx(
-        10 * (3 + 6 * math.sqrt(2)) / 7, rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        me.van_dam_bound(1, 3)
-    with pytest.raises(ValueError):
-        me.van_dam_bound(10, 0)
+    heawood = me.van_dam_bound(summary_of(corpus_graph("heawood")))
+    assert heawood == pytest.approx(6 + 12 * math.sqrt(2), rel=1e-12)
+    petersen = me.van_dam_bound(summary_of(corpus_graph("petersen")))
+    assert petersen == pytest.approx(10 * (3 + 6 * math.sqrt(2)) / 7, rel=1e-12)
+    with pytest.raises(ValueError, match="regular"):
+        me.van_dam_bound(summary_of(corpus_graph("star:4")))
+    with pytest.raises(me.NoEdgesError):
+        me.van_dam_bound(summary_of(corpus_graph("complete:1")))
 
 
-@pytest.mark.parametrize("spec", ["petersen", "heawood", "cycle:7", "cycle:12", "projective:3"])
+@pytest.mark.parametrize(
+    "spec",
+    ["petersen", "heawood", "cycle:5", "cycle:7", "cycle:12", "complete:2", "projective:3", "projective:7"],
+)
 def test_van_dam_matches_quartic_on_quad_free_regular(spec):
-    """For regular graphs without 4-cycles the two routes are one formula."""
+    """For regular graphs without 4-cycles the two routes are one bound, bit for bit."""
     g = corpus_graph(spec)
     s = summary_of(g)
     assert me.is_regular(g) is not None and s.quad_count == 0
-    vd = me.van_dam_bound(g.n, me.is_regular(g))
-    assert me.best_quartic_bound(s) == pytest.approx(vd, rel=1e-12)
+    assert me.van_dam_bound(s) == me.best_quartic_bound(s)
+
+
+def _regular_graphs() -> list:
+    lines = (Path(__file__).parent / "data" / "golden" / "families.g6").read_text().split()
+    graphs = [(f"families.g6:{i}", me.parse_graph6(line)) for i, line in enumerate(lines, 1)]
+    graphs += [(spec, me.generate_from_string(spec)) for spec in ("petersen", "cycle:4", "rook:10")]
+    return [pytest.param(g, id=name) for name, g in graphs if me.is_regular(g)]
+
+
+@pytest.mark.parametrize("g", _regular_graphs())
+def test_printed_van_dam_bound_is_at_least_its_closed_form(g):
+    """n (d + (d^2 - d) sqrt(d - 1)) / (d^2 - d + 1) in 40 digits never exceeds the printed bound."""
+    n, d = g.n, Decimal(me.is_regular(g))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        closed = n * (d + (d * d - d) * (d - 1).sqrt()) / (d * d - d + 1)
+        assert Decimal(me.analyze_graph(g).van_dam_bound) >= closed
 
 
 @settings(max_examples=80, deadline=None)
