@@ -47,6 +47,7 @@ class Graph:
     adj: tuple[int, ...]
     label: str = field(default="", compare=False)
     matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _degrees: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -69,6 +70,7 @@ class Graph:
                        if not (self.adj[j] >> i) & 1]
         if len(one_way):
             raise GraphError(f"adjacency not symmetric at ({one_way[0][0]}, {one_way[0][1]})")
+        object.__setattr__(self, "_degrees", tuple(row.bit_count() for row in self.adj))
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]], label: str = "") -> "Graph":
@@ -97,13 +99,13 @@ class Graph:
     @property
     def m(self) -> int:
         """Number of edges."""
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(self._degrees) // 2
 
     def degree(self, i: int) -> int:
-        return self.adj[i].bit_count()
+        return self._degrees[i]
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(row.bit_count() for row in self.adj)
+        return self._degrees
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.adj[i] >> j) & 1)

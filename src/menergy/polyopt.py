@@ -13,7 +13,8 @@ sqrt(u) at the nodes of a principal representation of M0, M2, ..., M2k
 Interior nodes are the Gauss nodes of mu, u mu, (1-u) mu or u(1-u) mu, whose
 moments in t = x^2 units are integers.  Integer Bareiss elimination decides the
 rank of their Hankel matrix exactly; a singular one (moments on the boundary
-of the moment space, where the bound is the energy) gives fewer nodes.  The
+of the moment space, where the bound is the energy) gives fewer nodes.  A
+rank-1 Jacobi matrix is read directly, its one entry being its eigenvalue.  The
 certificate is the Hermite interpolant of sqrt: value and slope at interior
 nodes, value only at 0 and 1.  The derivatives of sqrt alternate in sign, so
 the Hermite remainder sqrt^(N)(xi) / N! * prod(u - z_i) takes its sign from the
@@ -35,8 +36,7 @@ is exact, and checked, and each float is one correctly rounded int / int.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -213,7 +213,7 @@ def _bound_scale(g: Graph) -> float:
     return float(st.max_degree)
 
 
-def _gauss_nodes(moments: list[int]) -> np.ndarray:
+def _gauss_nodes(moments: list[int]) -> list[float]:
     """Gauss nodes, at most m of them, of a measure from its first 2m integer moments.
 
     Bareiss elimination on the m-by-(m+1) Hankel matrix leaves the leading
@@ -221,7 +221,7 @@ def _gauss_nodes(moments: list[int]) -> np.ndarray:
     j <= r and 0 beyond, so the first zero pivot gives the exact rank.  The
     Jacobi matrix (Golub-Welsch in LDL^T form) has alpha_j = a[j][j+1] /
     Delta_{j+1} - a[j-1][j] / Delta_j and beta_j^2 = Delta_j Delta_{j+2} /
-    Delta_{j+1}^2, each rounded once.
+    Delta_{j+1}^2, each rounded once.  A 1-by-1 Jacobi matrix is its own node.
     """
     m = len(moments) // 2
     a = [[moments[i + j] for j in range(m + 1)] for i in range(m)]
@@ -239,11 +239,16 @@ def _gauss_nodes(moments: list[int]) -> np.ndarray:
     for j in range(1, r):
         num = a[j][j + 1] * minors[j] - a[j - 1][j] * minors[j + 1]
         alpha.append(num / (minors[j + 1] * minors[j]))
-    beta = [np.sqrt(minors[j] * minors[j + 2] / minors[j + 1] ** 2) for j in range(r - 1)]
-    return np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+    if r < 2:
+        return alpha
+    jacobi = np.zeros((r, r))
+    jacobi.flat[:: r + 1] = alpha
+    beta = [math.sqrt(minors[j] * minors[j + 2] / minors[j + 1] ** 2) for j in range(r - 1)]
+    jacobi.flat[1 :: r + 1] = jacobi.flat[r :: r + 1] = beta
+    return np.linalg.eigvalsh(jacobi).tolist()
 
 
-def _principal_nodes(problem: LpProblem) -> tuple[np.ndarray, tuple[float, ...]]:
+def _principal_nodes(problem: LpProblem) -> tuple[list[float], tuple[float, ...]]:
     """Interior nodes in u, and the fixed end nodes, of the extremal rule."""
     mom = [int(m) for m in problem.moments]
     k = len(mom) - 1
@@ -258,8 +263,8 @@ def _principal_nodes(problem: LpProblem) -> tuple[np.ndarray, tuple[float, ...]]
         weighted, ends = [num * mom[j] - den * mom[j + 1] for j in range(k)], (1.0,)
     else:  # left Radau: t mu
         weighted, ends = mom[1:], (0.0,)
-    nodes = _gauss_nodes(weighted) / problem.scale**2
-    return np.maximum(nodes, NODE_FLOOR), ends
+    t_max = problem.scale**2
+    return [max(t / t_max, NODE_FLOOR) for t in _gauss_nodes(weighted)], ends
 
 
 def _exact(num: int, den: int) -> int:
@@ -270,27 +275,32 @@ def _exact(num: int, den: int) -> int:
     return quotient
 
 
-def _sqrt_interpolant(nodes: np.ndarray, ends: tuple[float, ...], k: int) -> tuple[list[int], int, int]:
+def _sqrt_interpolant(nodes: list[float], ends: tuple[float, ...], k: int) -> tuple[list[int], int, int]:
     """Integers (p, q, delta) with sum_j p[j] q^(2j-1) u^j / delta, padded to degree k,
     the Hermite interpolant of sqrt: value and slope at each node, value only at each
     end.  Each point moves to s^2 with s = sqrt(u) rounded, where sqrt is exactly s; a
     point met more than twice (two nodes, or a node and an end, that round together)
     keeps two conditions, which leaves the sign of the remainder as it was."""
-    met = Counter(map(math.sqrt, [*ends, *nodes.tolist() * 2]))
-    ratios = [s.as_integer_ratio() for s in sorted(met) for _ in range(min(met[s], 2))]
+    met = sorted(map(math.sqrt, [*ends, *nodes, *nodes]))
+    ratios = [s.as_integer_ratio() for i, s in enumerate(met) if i < 2 or s != met[i - 2]]
     q = max(d for _, d in ratios)
     r = [num * (q // d) for num, d in ratios]
     w = [ri * ri for ri in r]
+    n = len(r)
     delta = math.prod(a + b for i, a in enumerate(r) for b in r[i + 1 :])
-    # delta * f[w_a, w_b] = delta / (r_a + r_b), also the slope delta / (2 r_a) when a = b.
-    diffs = [_exact(delta, a + b) for a, b in zip(r, r[1:])]
-    newton = [delta * r[0]]
-    for order in range(2, len(w) + 1):
-        newton.append(diffs[0])
-        diffs = [_exact(b - a, w[i + order] - w[i]) for i, (a, b) in enumerate(zip(diffs, diffs[1:]))]
+    # newton[i] becomes delta * f[w_0, ..., w_i]; delta * f[w_a, w_b] = delta / (r_a + r_b),
+    # also the slope delta / (2 r_a) when a = b.
+    newton = [delta * r[0]] + [_exact(delta, r[i - 1] + r[i]) for i in range(1, n)]
+    for order in range(2, n):
+        for i in range(n - 1, order - 1, -1):
+            newton[i] = _exact(newton[i] - newton[i - 1], w[i] - w[i - order])
+    # Horner from the top Newton term: p <- newton[i] + (u - w_i) p, one degree at a time.
     p = [newton[-1]] + [0] * k
-    for i in range(len(w) - 2, -1, -1):
-        p = [newton[i] - w[i] * p[0]] + [a - w[i] * b for a, b in zip(p, p[1:])]
+    for i in range(n - 2, -1, -1):
+        wi = w[i]
+        for j in range(n - 1 - i, 0, -1):
+            p[j] = p[j - 1] - wi * p[j]
+        p[0] = newton[i] - wi * p[0]
     return p, q, delta
 
 
@@ -299,9 +309,17 @@ def solve_bound_lp(problem: LpProblem) -> LpSolution:
     and rounded outward once."""
     k, (sn, sd) = problem.degree // 2, float(problem.scale).as_integer_ratio()
     p, q, delta = _sqrt_interpolant(*_principal_nodes(problem), k)
-    # Coefficient j of x^2j is p[j] (q sd / sn)^(2j-1) / delta = nums[j] / den.
-    nums = [pj * (q * sd) ** (2 * j) * sn ** (2 * (k - j) + 1) for j, pj in enumerate(p)]
-    den = delta * q * sd * sn ** (2 * k)
+    # Coefficient j of x^2j is p[j] (q sd / sn)^(2j-1) / delta = nums[j] / den, with
+    # nums[j] = p[j] (q sd)^2j sn^(2(k-j)+1) built from two running products.
+    step_high, step_low = (q * sd) ** 2, sn * sn
+    lows = [sn]
+    for _ in range(k):
+        lows.append(lows[-1] * step_low)
+    nums, high = [], 1
+    for pj, low in zip(p, reversed(lows)):
+        nums.append(pj * high * low)
+        high *= step_high
+    den = delta * q * sd * step_low**k
     numerator = sum(c * int(m) for c, m in zip(nums, problem.moments))
     bound = round_outward(numerator, den, problem.direction == "above")
     poly = EvenPolynomial(tuple(c / den for c in nums), problem.scale)
@@ -328,9 +346,9 @@ def bound_sweep(g: Graph, max_degree: int) -> tuple[SweepEntry, ...]:
     walks = trace_moments(g, max_degree)
     entries: list[SweepEntry] = []
     for degree in range(2, max_degree + 1, 2):
-        above = LpProblem(degree, tuple(walks[0 : degree + 1 : 2]), scale, "above")
-        upper = solve_bound_lp(above)
-        lower = solve_bound_lp(replace(above, direction="below"))
+        moments = tuple(walks[0 : degree + 1 : 2])
+        upper = solve_bound_lp(LpProblem(degree, moments, scale, "above"))
+        lower = solve_bound_lp(LpProblem(degree, moments, scale, "below"))
         if entries:
             prev = entries[-1]
             if prev.upper.objective < upper.objective:

@@ -9,14 +9,16 @@ eigensolver would otherwise dominate collection time.
 The oracles here deliberately avoid the code paths they check: closed walks
 are counted by depth-first enumeration rather than matrix powers,
 quadrilaterals by testing all three pairings of every 4-subset, two-colourings
-by a stack depth-first search rather than breadth-first layers, and the
-parsers and Graph validation by the per-line and per-bit loops they replaced.
+by a stack depth-first search rather than breadth-first layers, the
+parsers and Graph validation by the per-line and per-bit loops they replaced,
+and Gauss nodes by the three-np.diag Jacobi matrix that one filled array replaced.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import menergy as me
@@ -193,6 +195,29 @@ def reference_bipartition(g: me.Graph) -> tuple[tuple[int, ...], tuple[int, ...]
     left = tuple(i for i in range(g.n) if colour[i] == 0)
     right = tuple(i for i in range(g.n) if colour[i] == 1)
     return left, right
+
+
+def reference_gauss_nodes(moments: list[int]) -> np.ndarray:
+    """Gauss nodes by Bareiss elimination and a Jacobi matrix summed from three np.diag
+    calls, for any rank, as polyopt built them before it filled one array."""
+    m = len(moments) // 2
+    a = [[moments[i + j] for j in range(m + 1)] for i in range(m)]
+    minors = [1]
+    for j in range(m):
+        pivot = a[j][j]
+        if pivot == 0:
+            break
+        for i in range(j + 1, m):
+            for col in range(j + 1, m + 1):
+                a[i][col] = (pivot * a[i][col] - a[i][j] * a[j][col]) // minors[-1]
+        minors.append(pivot)
+    r = len(minors) - 1
+    alpha = [a[0][1] / minors[1]] if r else []
+    for j in range(1, r):
+        num = a[j][j + 1] * minors[j] - a[j - 1][j] * minors[j + 1]
+        alpha.append(num / (minors[j + 1] * minors[j]))
+    beta = [np.sqrt(minors[j] * minors[j + 2] / minors[j + 1] ** 2) for j in range(r - 1)]
+    return np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
 
 
 def brute_force_design(g: me.Graph) -> tuple[int, int, int] | None:

@@ -28,7 +28,7 @@ from menergy.polyopt import (
 from menergy.quartic import verify_majorization
 from menergy.report import SOUNDNESS_RTOL
 
-from conftest import CORPUS_SPECS, corpus_graph, spectrum_of, summary_of
+from conftest import CORPUS_SPECS, corpus_graph, reference_gauss_nodes, spectrum_of, summary_of
 from test_exhaustive import representatives
 
 
@@ -323,7 +323,7 @@ def test_upper_node_at_zero_moves_to_the_floor():
     # cycle:4 has |lambda| in {0, 2}: the right Radau node of (1 - u) mu sits at 0.
     problem = lp_problem(corpus_graph("cycle:4"), 4, "above")
     nodes, ends = _principal_nodes(problem)
-    assert nodes.tolist() == [NODE_FLOOR] and ends == (1.0,)
+    assert nodes == [NODE_FLOOR] and ends == (1.0,)
     sol = solve_bound_lp(problem)
     assert sol.certified
     assert 4.0 <= sol.objective <= 4.0 * (1 + 1e-5)
@@ -505,11 +505,10 @@ def test_contraction_is_exact_where_coefficient_terms_cancel():
 # the integer certificate against a Fraction reference
 
 
-def fraction_certificate(problem):
-    """(bound, coefficients) of the certificate built in Fraction, rounded as the
-    integer route must round it: the same points, Newton table and Horner loop."""
-    nodes, ends = _principal_nodes(problem)
-    met = Counter(map(math.sqrt, [*ends, *nodes.tolist() * 2]))
+def fraction_interpolant(nodes, ends, k):
+    """The Hermite interpolant of sqrt in u, in Fraction, padded to degree k: the same
+    points, at most two conditions each, Newton table and Horner loop."""
+    met = Counter(map(math.sqrt, [*ends, *nodes * 2]))
     roots = [Fraction(s) for s in sorted(met) for _ in range(min(met[s], 2))]
     z = [s * s for s in roots]
     diffs = [1 / (a + b) for a, b in zip(roots, roots[1:])]
@@ -517,9 +516,16 @@ def fraction_certificate(problem):
     for order in range(2, len(z) + 1):
         newton.append(diffs[0])
         diffs = [(b - a) / (z[i + order] - z[i]) for i, (a, b) in enumerate(zip(diffs, diffs[1:]))]
-    y = [newton[-1]] + [Fraction(0)] * (problem.degree // 2)
+    y = [newton[-1]] + [Fraction(0)] * k
     for i in range(len(z) - 2, -1, -1):
         y = [newton[i] - z[i] * y[0]] + [a - z[i] * b for a, b in zip(y, y[1:])]
+    return y
+
+
+def fraction_certificate(problem):
+    """(bound, coefficients) of the certificate built in Fraction, rounded as the
+    integer route must round it."""
+    y = fraction_interpolant(*_principal_nodes(problem), problem.degree // 2)
     coeffs = [yj * Fraction(problem.scale) ** (1 - 2 * j) for j, yj in enumerate(y)]
     exact = sum(c * int(m) for c, m in zip(coeffs, problem.moments))
     bound, up = float(exact), problem.direction == "above"
@@ -563,6 +569,51 @@ def test_integer_certificates_equal_fractions_on_random_graphs(n, p, seed):
     g = me.generate_from_string(f"gnp:{n}:{p!r}:{seed}")
     if g.m:
         assert_graph_matches_fraction_route(g)
+
+
+# 0.30000000000000004 and the next float up have one rounded square root.
+_ADJACENT = (0.30000000000000004, math.nextafter(0.30000000000000004, 1.0))
+
+
+@pytest.mark.parametrize(
+    "nodes, ends",
+    [
+        ([0.25, 0.25], (1.0,)),  # equal nodes: four conditions at one point
+        ([0.3, 0.3, 0.7], (0.0, 1.0)),
+        ([1.0], (1.0,)),  # a node on the end
+        ([0.2, 1.0], (0.0, 1.0)),
+        ([NODE_FLOOR, NODE_FLOOR], (1.0,)),
+        (list(_ADJACENT), (1.0,)),  # adjacent floats that sqrt rounds together
+        ([0.1, *_ADJACENT], (0.0,)),
+        ([_ADJACENT[0], 0.5, _ADJACENT[1]], ()),
+    ],
+)
+def test_interpolant_keeps_two_conditions_where_square_roots_collide(nodes, ends):
+    assert math.sqrt(_ADJACENT[0]) == math.sqrt(_ADJACENT[1])
+    k = 2 * len(nodes) + len(ends) - 1
+    p, q, delta = polyopt._sqrt_interpolant(nodes, ends, k)
+    exact = [Fraction(pj) * Fraction(q) ** (2 * j - 1) / delta for j, pj in enumerate(p)]
+    assert exact == fraction_interpolant(nodes, ends, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_property_a_one_by_one_symmetric_matrix_is_its_own_eigenvalue(x):
+    # _gauss_nodes returns a rank-1 Jacobi matrix's entry without calling LAPACK.
+    assert np.linalg.eigvalsh(np.array([[x]]))[0] == x
+
+
+atomic_measures = st.lists(
+    st.tuples(st.integers(0, 10**4), st.integers(1, 10**6)), min_size=0, max_size=4
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(atomic_measures, st.integers(0, 5))
+def test_property_gauss_nodes_equal_the_three_diagonal_reference(atoms, m):
+    # m above the number of atoms makes the Hankel matrix singular.
+    moments = [sum(w * t**j for t, w in atoms) for j in range(2 * m)]
+    assert _gauss_nodes(moments) == reference_gauss_nodes(moments).tolist()
 
 
 def test_a_certificate_division_with_a_remainder_raises():
