@@ -309,17 +309,9 @@ def solve_bound_lp(problem: LpProblem) -> LpSolution:
     and rounded outward once."""
     k, (sn, sd) = problem.degree // 2, float(problem.scale).as_integer_ratio()
     p, q, delta = _sqrt_interpolant(*_principal_nodes(problem), k)
-    # Coefficient j of x^2j is p[j] (q sd / sn)^(2j-1) / delta = nums[j] / den, with
-    # nums[j] = p[j] (q sd)^2j sn^(2(k-j)+1) built from two running products.
-    step_high, step_low = (q * sd) ** 2, sn * sn
-    lows = [sn]
-    for _ in range(k):
-        lows.append(lows[-1] * step_low)
-    nums, high = [], 1
-    for pj, low in zip(p, reversed(lows)):
-        nums.append(pj * high * low)
-        high *= step_high
-    den = delta * q * sd * step_low**k
+    # Coefficient j of x^2j is p[j] (q sd / sn)^(2j-1) / delta = nums[j] / den.
+    nums = [pj * (q * sd) ** (2 * j) * sn ** (2 * (k - j) + 1) for j, pj in enumerate(p)]
+    den = delta * q * sd * sn ** (2 * k)
     numerator = sum(c * int(m) for c, m in zip(nums, problem.moments))
     bound = round_outward(numerator, den, problem.direction == "above")
     poly = EvenPolynomial(tuple(c / den for c in nums), problem.scale)

@@ -54,10 +54,7 @@ def analyze_graph(g: Graph) -> BoundReport:
     scaled = scaled_moments(summary)
     tangency, clamped = optimal_tangency(summary)
     bound = best_quartic_bound(summary)
-    if is_regular(g) is None:
-        vd = None
-    else:  # van Dam's bound takes M4 without 4-cycles, which is M4 itself when there are none
-        vd = bound if summary.quad_count == 0 else van_dam_bound(summary)
+    vd = van_dam_bound(summary) if is_regular(g) is not None else None
     classification = classify_equality(g, summary)
     return BoundReport(
         summary=summary,
