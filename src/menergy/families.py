@@ -15,6 +15,8 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .graphs import Graph
 
 
@@ -57,33 +59,35 @@ def _float_text(p: float) -> str:
 def complete(n: int) -> Graph:
     if n < 1:
         raise FamilyError(f"complete graph needs n >= 1, got {n}")
-    return Graph.from_edges(n, combinations(range(n), 2), label=f"complete:{n}")
+    return Graph._from_pairs(n, *np.triu_indices(n, 1), label=f"complete:{n}")
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise FamilyError(f"cycle needs n >= 3, got {n}")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)], label=f"cycle:{n}")
+    i = np.arange(n)
+    return Graph._from_pairs(n, i, (i + 1) % n, label=f"cycle:{n}")
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise FamilyError(f"path needs n >= 1, got {n}")
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)], label=f"path:{n}")
+    i = np.arange(n - 1)
+    return Graph._from_pairs(n, i, i + 1, label=f"path:{n}")
 
 
 def star(k: int) -> Graph:
     """The star with k leaves: vertex 0 joined to 1..k."""
     if k < 1:
         raise FamilyError(f"star needs k >= 1 leaves, got {k}")
-    return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)], label=f"star:{k}")
+    return Graph._from_pairs(k + 1, np.zeros(k, np.int64), np.arange(1, k + 1), label=f"star:{k}")
 
 
 def complete_bipartite(p: int, q: int) -> Graph:
     if p < 1 or q < 1:
         raise FamilyError(f"complete bipartite needs both sides >= 1, got {p}, {q}")
-    edges = [(i, p + j) for i in range(p) for j in range(q)]
-    return Graph.from_edges(p + q, edges, label=f"bipartite:{p}:{q}")
+    i, j = np.divmod(np.arange(p * q), q)
+    return Graph._from_pairs(p + q, i, p + j, label=f"bipartite:{p}:{q}")
 
 
 def petersen() -> Graph:
@@ -102,14 +106,9 @@ def rook(s: int) -> Graph:
     """s x s rook's graph: board squares, adjacent iff same row or column."""
     if s < 2:
         raise FamilyError(f"rook graph needs board size >= 2, got {s}")
-    n = s * s
-    edges = [
-        (a, b)
-        for a in range(n)
-        for b in range(a + 1, n)
-        if a // s == b // s or a % s == b % s
-    ]
-    return Graph.from_edges(n, edges, label=f"rook:{s}")
+    a, b = np.triu_indices(s * s, 1)
+    keep = (a // s == b // s) | (a % s == b % s)
+    return Graph._from_pairs(s * s, a[keep], b[keep], label=f"rook:{s}")
 
 
 def _is_prime(q: int) -> bool:
@@ -136,19 +135,15 @@ def projective_plane_incidence(q: int) -> Graph:
     triples = [(1, y, z) for y in range(q) for z in range(q)]
     triples += [(0, 1, z) for z in range(q)]
     triples.append((0, 0, 1))
-    npts = len(triples)
-    edges = []
-    for pi, p in enumerate(triples):
-        for li, line in enumerate(triples):
-            if (p[0] * line[0] + p[1] * line[1] + p[2] * line[2]) % q == 0:
-                edges.append((pi, npts + li))
-    return Graph.from_edges(2 * npts, edges, label=f"projective:{q}")
+    t = np.array(triples)
+    points, lines = np.nonzero(t @ t.T % q == 0)
+    return Graph._from_pairs(2 * len(t), points, len(t) + lines, label=f"projective:{q}")
 
 
 def heawood() -> Graph:
     """The Heawood graph, realised as the incidence graph of the Fano plane."""
     g = projective_plane_incidence(2)
-    return Graph(g.n, g.adj, label="heawood")
+    return Graph._from_pairs(g.n, *g._pairs(), label="heawood")
 
 
 def random_gnp(n: int, p: float, seed: int) -> Graph:
@@ -162,21 +157,19 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     if not 0.0 <= p <= 1.0:
         raise FamilyError(f"gnp needs probability in [0, 1], got {p}")
     rng = random.Random(seed)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j))
-    return Graph.from_edges(n, edges, label=f"gnp:{n}:{_float_text(p)}:{seed}")
+    heads = [np.flatnonzero([rng.random() < p for _ in range(i + 1, n)]) + i + 1 for i in range(n)]
+    tails = np.repeat(np.arange(n), [len(h) for h in heads])
+    heads = np.concatenate([np.zeros(0, np.int64), *heads])  # n may be 0
+    return Graph._from_pairs(n, tails, heads, label=f"gnp:{n}:{_float_text(p)}:{seed}")
 
 
 def disjoint_union(graphs: list[Graph], label: str = "") -> Graph:
     """Vertex-disjoint union; vertex blocks keep the input order."""
-    rows: list[int] = []
+    blocks, offset = [np.zeros((2, 0), np.int64)], 0
     for g in graphs:
-        offset = len(rows)
-        rows.extend(row << offset for row in g.adj)
-    return Graph(len(rows), tuple(rows), label)
+        blocks.append(np.stack(g._pairs()) + offset)
+        offset += g.n
+    return Graph._from_pairs(offset, *np.concatenate(blocks, axis=1), label)
 
 
 # kind -> (builder, number of parameters, vertex count from the parameters);

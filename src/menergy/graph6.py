@@ -74,7 +74,7 @@ def parse_graph6(line: str) -> Graph:
         pad = 6 * ngroups - nbits
         if int(body[-1]) & ((1 << pad) - 1):
             raise Graph6Error("nonzero padding bits")
-    bits = np.unpackbits(body[:, None], axis=1)[:, 2:].ravel()[:nbits]
+    bits = ((body[:, None] >> np.arange(5, -1, -1, dtype=np.uint8)) & 1).ravel()[:nbits]
     k = np.flatnonzero(bits)  # bit k is x(i, j) for the j with j(j-1)/2 <= k < j(j+1)/2
     starts = np.arange(n) * (np.arange(n) - 1) // 2
     j = np.searchsorted(starts, k, side="right") - 1
@@ -91,8 +91,8 @@ def write_graph6(g: Graph) -> str:
     """Encode a graph canonically (no header, minimal size field)."""
     check_encodable(n := g.n)
     size = [n] if n <= 62 else [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
-    ends = np.fromiter(g.edges(), np.dtype((np.int64, 2)))
-    k = ends[:, 1] * (ends[:, 1] - 1) // 2 + ends[:, 0]  # stream position of x(i, j)
+    i, j = g._pairs()
+    k = j * (j - 1) // 2 + i  # stream position of x(i, j)
     groups = np.zeros((n * (n - 1) // 2 + 5) // 6, np.uint8)
     np.bitwise_or.at(groups, k // 6, (32 >> k % 6).astype(np.uint8))
     return (np.concatenate([np.array(size, np.uint8), groups]) + 63).tobytes().decode("ascii")

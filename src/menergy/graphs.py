@@ -1,11 +1,10 @@
-"""Immutable simple undirected graphs: adjacency bitsets plus one validated uint8 matrix."""
+"""Immutable simple undirected graphs, each held as one validated uint8 adjacency matrix."""
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -17,84 +16,70 @@ class GraphError(ValueError):
     """Structurally invalid graph input: self loops, bad indices, malformed text."""
 
 
-def bit_indices(mask: int) -> Iterator[int]:
-    """Yield the positions of set bits of ``mask`` in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def unpack_rows(adj: tuple[int, ...], n: int) -> np.ndarray:
-    """The bitset rows ``adj`` (each below 2**n) as a len(adj) x n uint8 block."""
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in adj), np.uint8)
-    return np.unpackbits(packed.reshape(len(adj), width), axis=1, count=n, bitorder="little")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Graph:
-    """Simple undirected graph on vertices ``0..n-1``.
+    """Simple undirected graph on vertices ``0..n-1``; build one with ``Graph.from_edges``.
 
-    ``adj[i]`` is an integer bitmask whose bit ``j`` is set iff ``{i, j}`` is
-    an edge.  The relation must be symmetric with an empty diagonal; both are
-    validated at construction.  ``label`` is carried for reporting only and
-    does not take part in equality.  ``matrix`` is the read-only uint8
-    adjacency matrix that validation unpacks, None above TRACE_MAX_VERTICES.
+    ``matrix`` is the read-only uint8 adjacency matrix, symmetric with an empty
+    diagonal by construction.  Above TRACE_MAX_VERTICES, where only graph6 output
+    needs the graph, it is None and the graph keeps its edges as sorted index arrays.
+    ``label`` is carried for reporting only and takes no part in equality.
     """
 
     n: int
-    adj: tuple[int, ...]
-    label: str = field(default="", compare=False)
-    matrix: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _degrees: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise GraphError("vertex count must be non-negative")
-        if len(self.adj) != self.n:
-            raise GraphError("adjacency length does not match vertex count")
-        # Range and diagonal are checked per row before unpacking, in row order.
-        for i, row in enumerate(self.adj):
-            if row >> self.n:
-                raise GraphError(f"vertex {i}: neighbour index out of range")
-            if (row >> i) & 1:
-                raise GraphError(f"vertex {i}: self loop")
-        if self.n <= TRACE_MAX_VERTICES:
-            a = unpack_rows(self.adj, self.n)
-            a.flags.writeable = False
-            object.__setattr__(self, "matrix", a)
-            one_way = np.argwhere(a > a.T)
-        else:  # no n x n matrix: each set bit is checked against its mirror
-            one_way = [(i, j) for i, row in enumerate(self.adj) for j in bit_indices(row)
-                       if not (self.adj[j] >> i) & 1]
-        if len(one_way):
-            raise GraphError(f"adjacency not symmetric at ({one_way[0][0]}, {one_way[0][1]})")
-        object.__setattr__(self, "_degrees", tuple(row.bit_count() for row in self.adj))
+    label: str
+    matrix: np.ndarray | None = field(repr=False)
+    _ends: tuple[np.ndarray, np.ndarray] | None = field(repr=False)
+    _degrees: tuple[int, ...] = field(repr=False)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]], label: str = "") -> "Graph":
-        """Build a graph from integer (numpy too) vertex pairs; duplicate edges collapse."""
-        rows = [0] * n
-        for edge in edges:
-            i, j = map(operator.index, edge)
-            if not (0 <= i < n and 0 <= j < n):
-                raise GraphError(f"edge ({i}, {j}): vertex index out of range for n={n}")
-            if i == j:
+        """Build a graph from integer vertex pairs (numpy too), or an (m, 2) integer array.
+
+        Duplicate edges collapse.  The first pair out of range or on the diagonal is named.
+        """
+        ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if ends.size == 0:
+            ends = np.zeros((0, 2), np.int64)
+        if ends.dtype.kind not in "iu" or ends.ndim != 2 or ends.shape[1] != 2:
+            raise TypeError(f"edges must be integer pairs, got {ends.dtype} of shape {ends.shape}")
+        i, j = ends.astype(np.int64).T
+        if (bad := (i < 0) | (i >= n) | (j < 0) | (j >= n) | (i == j)).any():
+            i, j = ends[bad.argmax()].tolist()
+            if i == j and 0 <= i < n:
                 raise GraphError(f"edge ({i}, {j}): self loop")
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        return Graph(n, tuple(rows), label)
+            raise GraphError(f"edge ({i}, {j}): vertex index out of range for n={n}")
+        if n < 0:
+            raise GraphError("vertex count must be non-negative")
+        return Graph._from_pairs(n, i, j, label)
 
     @staticmethod
-    def _from_pairs(n: int, i: np.ndarray, j: np.ndarray) -> "Graph":
-        """The graph with edges {i[k], j[k]}, given as valid index arrays."""
-        if n > TRACE_MAX_VERTICES:
-            return Graph.from_edges(n, zip(i.tolist(), j.tolist()))
-        a = np.zeros((n, n), np.uint8)
-        a[i, j] = a[j, i] = 1
-        packed = np.packbits(a, axis=1, bitorder="little")
-        return Graph(n, tuple(map(int.from_bytes, packed, repeat("little"))))
+    def _from_pairs(n: int, i: np.ndarray, j: np.ndarray, label: str = "") -> "Graph":
+        """The graph with edges {i[k], j[k]}, given as valid index arrays: the one constructor."""
+        if n <= TRACE_MAX_VERTICES:
+            matrix, ends = np.zeros((n, n), np.uint8), None
+            matrix[i, j] = matrix[j, i] = 1
+            matrix.flags.writeable = False
+            degrees = matrix.sum(axis=1)
+        else:  # each edge once as (low, high), sorted: the unique codes low n + high, read back
+            codes = np.unique(np.minimum(i, j) * np.int64(n) + np.maximum(i, j))
+            matrix, ends = None, divmod(codes, n)
+            degrees = np.bincount(np.concatenate(ends), minlength=n)
+        g = object.__new__(Graph)  # frozen: the fields are written past __setattr__
+        g.__dict__.update(
+            n=n, label=label, matrix=matrix, _ends=ends, _degrees=tuple(degrees.tolist())
+        )
+        return g
+
+    def _key(self) -> tuple[int, bytes]:
+        edges = self.matrix if self.matrix is not None else np.concatenate(self._ends)
+        return self.n, edges.tobytes()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Graph) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def m(self) -> int:
@@ -108,13 +93,19 @@ class Graph:
         return self._degrees
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool((self.adj[i] >> j) & 1)
+        if self.matrix is not None:
+            return bool(self.matrix[i, j])
+        low, high = self._ends
+        return bool(((low == min(i, j)) & (high == max(i, j))).any())
+
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ends (i, j) of every edge as two index arrays, i < j, in lexicographic order."""
+        return self._ends if self.matrix is None else np.nonzero(np.triu(self.matrix, 1))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (i, j) with i < j, in lexicographic order."""
-        for i, row in enumerate(self.adj):
-            for k in bit_indices(row >> (i + 1)):
-                yield i, i + 1 + k
+        i, j = self._pairs()
+        return zip(i.tolist(), j.tolist())
 
 
 def _edge_pairs(body: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -183,24 +174,25 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _layers(g: Graph, root: int) -> Iterator[int]:
-    """Breadth-first layers of root's component as bitsets: the vertices at distance 0, 1, ...
+def _layers(g: Graph, root: int) -> Iterator[np.ndarray]:
+    """Breadth-first layers of root's component as boolean masks: vertices at distance 0, 1, ...
 
     Every edge joins two vertices of one layer or of consecutive layers.
     """
-    seen = frontier = 1 << root
-    while frontier:
+    if g.matrix is None:
+        raise GraphError(f"n={g.n} exceeds the dense-matrix cap {TRACE_MAX_VERTICES}")
+    adj = g.matrix.view(bool)
+    frontier = seen = np.arange(g.n) == root
+    while np.count_nonzero(frontier):
         yield frontier
-        reach = 0
-        for v in bit_indices(frontier):
-            reach |= g.adj[v]
-        frontier = reach & ~seen
-        seen |= frontier
+        frontier = np.logical_or.reduce(adj[frontier]) > seen  # neighbours not seen before
+        seen = seen | frontier
 
 
 def is_connected(g: Graph) -> bool:
     """True for graphs with at most one vertex and for connected graphs."""
-    return g.n <= 1 or sum(_layers(g, 0)) == (1 << g.n) - 1  # disjoint layers: sum is union
+    # The running count of reached vertices rises strictly; `in` stops the search at n.
+    return g.n <= 1 or g.n in accumulate(map(np.count_nonzero, _layers(g, 0)))
 
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -210,14 +202,16 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     least vertex of its component, so that vertex goes left; both tuples are ascending.
     The colouring is proper unless an edge joins two vertices of one layer.
     """
-    sides, unseen = [0, 0], (1 << g.n) - 1
-    while unseen:
-        for depth, layer in enumerate(_layers(g, (unseen & -unseen).bit_length() - 1)):
-            sides[depth & 1] |= layer
-            unseen ^= layer
-    if any(g.adj[v] & side for side in sides for v in bit_indices(side)):
+    right, unseen = np.zeros(g.n, bool), np.ones(g.n, bool)
+    while unseen.any():
+        for depth, layer in enumerate(_layers(g, int(unseen.argmax()))):
+            if depth & 1:
+                right |= layer
+            unseen &= ~layer
+    adj = g.matrix.view(bool)
+    if any(adj[side][:, side].any() for side in (right, ~right)):
         return None
-    return tuple(bit_indices(sides[0])), tuple(bit_indices(sides[1]))
+    return tuple(np.flatnonzero(~right).tolist()), tuple(np.flatnonzero(right).tolist())
 
 
 def is_regular(g: Graph) -> int | None:

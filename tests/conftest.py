@@ -10,12 +10,14 @@ The oracles here deliberately avoid the code paths they check: closed walks
 are counted by depth-first enumeration rather than matrix powers,
 quadrilaterals by testing all three pairings of every 4-subset, two-colourings
 by a stack depth-first search rather than breadth-first layers, the
-parsers and Graph validation by the per-line and per-bit loops they replaced,
-and Gauss nodes by the three-np.diag Jacobi matrix that one filled array replaced.
+parsers and Graph.from_edges by the per-line, per-bit and per-edge loops they
+replaced, and Gauss nodes by the three-np.diag Jacobi matrix that one filled
+array replaced.
 """
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +25,7 @@ import pytest
 
 import menergy as me
 from menergy.graph6 import HEADER, MAX_VERTICES, WHITESPACE, Graph6Error
-from menergy.graphs import TRACE_MAX_VERTICES, bit_indices
+from menergy.graphs import TRACE_MAX_VERTICES
 
 CORPUS_SPECS = [
     "complete:1",
@@ -111,7 +113,10 @@ def gnp_batch() -> list[me.Graph]:
 
 def count_closed_walks(g: me.Graph, length: int) -> int:
     """Closed walks of the given length by plain depth-first enumeration."""
-    neighbours = [tuple(bit_indices(row)) for row in g.adj]
+    neighbours = [[] for _ in range(g.n)]
+    for i, j in g.edges():
+        neighbours[i].append(j)
+        neighbours[j].append(i)
 
     def walks(v: int, steps: int, target: int) -> int:
         if steps == 0:
@@ -238,29 +243,40 @@ def brute_force_design(g: me.Graph) -> tuple[int, int, int] | None:
     return (len(parts[0]), degrees.pop(), lams.pop() if lams else 0)
 
 
-# Reference parsers: the per-line, per-character and per-bit loops the numpy
-# parsers replaced.  They return (n, bitset rows) or raise the same exception
-# with the same message as the package must.
+# Reference builders: the per-edge, per-line, per-character and per-bit loops
+# that Graph.from_edges and the numpy parsers replaced.  They fill one bitset
+# row per vertex and return (n, edges): every edge (i, j), i < j, in
+# lexicographic order, read off the rows bit by bit.  Where they fail, they
+# raise the same exception with the same message as the package must.
 
 
-def reference_validate(n: int, adj: tuple[int, ...]) -> None:
-    """Graph construction checks, bit by bit."""
+def _row_edges(n: int, rows: list[int]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    edges = []
+    for i, row in enumerate(rows):
+        row >>= i + 1
+        while row:  # the lowest set bit, b places up, is the edge (i, i + 1 + b)
+            edges.append((i, i + (row & -row).bit_length()))
+            row &= row - 1
+    return n, tuple(edges)
+
+
+def reference_from_edges(n: int, edges) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Graph.from_edges as one loop over the edges, setting a bit in each endpoint's row."""
+    rows = [0] * max(n, 0)
+    for edge in edges:
+        i, j = map(operator.index, edge)
+        if not (0 <= i < n and 0 <= j < n):
+            raise me.GraphError(f"edge ({i}, {j}): vertex index out of range for n={n}")
+        if i == j:
+            raise me.GraphError(f"edge ({i}, {j}): self loop")
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
     if n < 0:
         raise me.GraphError("vertex count must be non-negative")
-    if len(adj) != n:
-        raise me.GraphError("adjacency length does not match vertex count")
-    for i, row in enumerate(adj):
-        if row >> n:
-            raise me.GraphError(f"vertex {i}: neighbour index out of range")
-        if (row >> i) & 1:
-            raise me.GraphError(f"vertex {i}: self loop")
-    for i, row in enumerate(adj):
-        for j in bit_indices(row):
-            if not (adj[j] >> i) & 1:
-                raise me.GraphError(f"adjacency not symmetric at ({i}, {j})")
+    return _row_edges(n, rows)
 
 
-def reference_parse_edge_list(text: str) -> tuple[int, tuple[int, ...]]:
+def reference_parse_edge_list(text: str) -> tuple[int, tuple[tuple[int, int], ...]]:
     numbered = [
         (idx, ln.strip()) for idx, ln in enumerate(text.split("\n"), start=1) if ln.strip()
     ]
@@ -295,10 +311,10 @@ def reference_parse_edge_list(text: str) -> tuple[int, tuple[int, ...]]:
             raise me.GraphError(f"line {lineno}: edge ({i}, {j}): self loop")
         rows[i] |= 1 << j
         rows[j] |= 1 << i
-    return n, tuple(rows)
+    return _row_edges(n, rows)
 
 
-def reference_parse_graph6(line: str) -> tuple[int, tuple[int, ...]]:
+def reference_parse_graph6(line: str) -> tuple[int, tuple[tuple[int, int], ...]]:
     s = line.strip(WHITESPACE)
     if s.startswith(">>"):
         if not s.startswith(HEADER):
@@ -344,4 +360,4 @@ def reference_parse_graph6(line: str) -> tuple[int, tuple[int, ...]]:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
             k += 1
-    return n, tuple(rows)
+    return _row_edges(n, rows)

@@ -1,13 +1,17 @@
 """Generator families: sizes, structure, spec grammar, determinism."""
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import menergy as me
 from menergy.families import FamilyError, FamilySpec
+from menergy.graphs import TRACE_MAX_VERTICES
 
-from conftest import spectrum_of, summary_of
+from conftest import reference_from_edges, spectrum_of, summary_of
 
 # Independent presentation of the Heawood graph for cross-checking the
 # incidence construction: a 14-cycle with chords i -- i+5 from even i
@@ -213,3 +217,88 @@ def test_generate_rejects_hand_built_spec_of_unknown_kind():
 def test_spec_round_trip():
     for text in ("complete:5", "gnp:12:0.3:42", "union:complete:2,complete:2"):
         assert str(me.parse_family_spec(text)) == text
+
+
+def loop_edges(spec: FamilySpec) -> tuple[int, list[tuple[int, int]]]:
+    """(n, edges) of a spec as the builders listed them, one pair at a time, before they
+    built index arrays; union members are shifted past the vertices before them."""
+    kind, params = spec.kind, spec.params
+    if kind == "union":
+        n, edges = 0, []
+        for part in spec.parts:
+            size, part_edges = loop_edges(part)
+            edges += [(i + n, j + n) for i, j in part_edges]
+            n += size
+        return n, edges
+    if kind == "complete":
+        return params[0], list(combinations(range(params[0]), 2))
+    if kind == "cycle":
+        return params[0], [(i, (i + 1) % params[0]) for i in range(params[0])]
+    if kind == "path":
+        return params[0], [(i, i + 1) for i in range(params[0] - 1)]
+    if kind == "star":
+        return params[0] + 1, [(0, i) for i in range(1, params[0] + 1)]
+    if kind == "bipartite":
+        p, q = params
+        return p + q, [(i, p + j) for i in range(p) for j in range(q)]
+    if kind == "petersen":
+        pairs = list(combinations(range(5), 2))
+        disjoint = [not set(pairs[a]) & set(pairs[b]) for a, b in combinations(range(10), 2)]
+        return 10, [edge for edge, keep in zip(combinations(range(10), 2), disjoint) if keep]
+    if kind == "rook":
+        s = params[0]
+        n = s * s
+        return n, [
+            (a, b) for a in range(n) for b in range(a + 1, n) if a // s == b // s or a % s == b % s
+        ]
+    if kind in ("projective", "heawood"):
+        q = params[0] if params else 2
+        triples = [(1, y, z) for y in range(q) for z in range(q)] + [(0, 1, z) for z in range(q)]
+        triples.append((0, 0, 1))
+        k = len(triples)
+        return 2 * k, [
+            (pi, k + li)
+            for pi, p in enumerate(triples)
+            for li, line in enumerate(triples)
+            if (p[0] * line[0] + p[1] * line[1] + p[2] * line[2]) % q == 0
+        ]
+    assert kind == "gnp"
+    n, p, seed = params
+    rng = random.Random(seed)
+    return n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "complete:1", "complete:2", "complete:70", "cycle:3", "cycle:65", "path:1", "path:2",
+        "path:66", "star:1", "star:70", "bipartite:1:1", "bipartite:3:5", "bipartite:40:30",
+        "petersen", "heawood", "rook:2", "rook:9", "projective:2", "projective:3",
+        "projective:7", "gnp:0:0.5:1", "gnp:1:0.5:1", "gnp:9:0:3", "gnp:9:1:3", "gnp:30:0.5:4",
+        "gnp:80:0.1:5", "union:complete:1", "union:complete:3,cycle:4,gnp:0:0.5:1,star:2",
+        "union:petersen,heawood,path:1", f"cycle:{TRACE_MAX_VERTICES + 1}",
+        f"union:path:3,star:{TRACE_MAX_VERTICES}", f"gnp:{TRACE_MAX_VERTICES + 2}:0.0005:7",
+    ],
+)
+def test_builders_equal_the_per_edge_reference(spec):
+    g = me.generate_from_string(spec)
+    assert (g.n, tuple(g.edges())) == reference_from_edges(*loop_edges(me.parse_family_spec(spec)))
+
+
+_member_specs = st.one_of(
+    st.builds("complete:{}".format, st.integers(1, 9)),
+    st.builds("cycle:{}".format, st.integers(3, 9)),
+    st.builds("star:{}".format, st.integers(1, 9)),
+    st.builds("bipartite:{}:{}".format, st.integers(1, 5), st.integers(1, 5)),
+    st.builds("rook:{}".format, st.integers(2, 4)),
+    st.builds("gnp:{}:{}:{}".format, st.integers(0, 20), st.sampled_from([0.1, 0.9]), st.integers(0, 99)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_member_specs, min_size=1, max_size=4))
+def test_property_unions_equal_the_per_edge_reference(members):
+    spec = me.parse_family_spec("union:" + ",".join(members))
+    g = me.generate(spec)
+    assert (g.n, tuple(g.edges())) == reference_from_edges(*loop_edges(spec))
+    assert g == me.disjoint_union([me.generate(part) for part in spec.parts])

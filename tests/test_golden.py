@@ -2,8 +2,9 @@
 
 The files under data/golden/ hold what `menergy analyze` and `menergy sweep`
 wrote for families.g6, and what `menergy generate` wrote for GENERATE_SPECS;
-any change to a printed digit, column, class tag or generated edge fails here.  They are regenerated only by a change that documents why its
-output moves.
+any change to a printed digit, column, class tag or generated edge fails
+here.  They are regenerated only by a change that documents why its output
+moves.
 """
 
 import json

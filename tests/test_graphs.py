@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import menergy as me
 from menergy import graphs
-from menergy.graphs import TRACE_MAX_VERTICES, GraphError, bit_indices
+from menergy.graphs import TRACE_MAX_VERTICES, GraphError
 
 from conftest import CORPUS_SPECS, corpus_graph, reference_bipartition
 
@@ -50,23 +50,34 @@ def test_from_edges_rejects_out_of_range():
 
 @pytest.mark.parametrize("row", [0b100, -1])
 def test_constructor_rejects_neighbour_out_of_range(row):
-    with pytest.raises(GraphError, match="vertex 0: neighbour index out of range"):
-        me.Graph(2, (row, 0))
-
-
-def test_constructor_rejects_asymmetry():
-    with pytest.raises(GraphError, match="not symmetric"):
-        me.Graph(2, (0b10, 0b00))
+    # from_edges is the only constructor; a negative index must not wrap round to n - 1.
+    with pytest.raises(GraphError, match=f"edge \\(0, {row}\\): vertex index out of range for n=2"):
+        me.Graph.from_edges(2, [(0, 1), (0, row)])
 
 
 def test_constructor_rejects_diagonal_bit():
-    with pytest.raises(GraphError, match="self loop"):
-        me.Graph(2, (0b01, 0b00))
+    with pytest.raises(GraphError, match="edge \\(0, 0\\): self loop"):
+        me.Graph.from_edges(2, [(0, 1), (0, 0)])
 
 
-def test_constructor_rejects_wrong_length():
-    with pytest.raises(GraphError, match="length"):
-        me.Graph(3, (0, 0))
+def test_from_edges_takes_an_index_array_and_names_the_first_bad_pair():
+    ends = np.array([[0, 1], [2, 1], [3, 3], [5, 0]])
+    with pytest.raises(GraphError, match="edge \\(3, 3\\): self loop"):
+        me.Graph.from_edges(4, ends)
+    with pytest.raises(GraphError, match="edge \\(5, 0\\): vertex index out of range for n=5"):
+        me.Graph.from_edges(5, ends[[0, 1, 3]].astype(np.int32))
+    assert me.Graph.from_edges(4, ends[:2]) == me.Graph.from_edges(4, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("edges", [[(0, 1.0)], [(0, 1, 2)], np.zeros((2, 3), np.int64), [(0, "1")]])
+def test_from_edges_refuses_what_is_not_integer_pairs(edges):
+    with pytest.raises(TypeError, match="integer pairs"):
+        me.Graph.from_edges(3, edges)
+
+
+def test_from_edges_rejects_negative_vertex_count():
+    with pytest.raises(GraphError, match="vertex count must be non-negative"):
+        me.Graph.from_edges(-1, [])
 
 
 def test_label_not_part_of_identity():
@@ -74,11 +85,6 @@ def test_label_not_part_of_identity():
     b = me.Graph.from_edges(2, [(0, 1)], label="b")
     assert a == b
     assert hash(a) == hash(b)
-
-
-def test_bit_indices():
-    assert list(bit_indices(0)) == []
-    assert list(bit_indices(0b10110)) == [1, 2, 4]
 
 
 def test_adjacency_matrix_matches_edges():
@@ -104,16 +110,24 @@ def test_adjacency_matrix_matches_edge_loop(spec):
 
 
 def test_adjacency_matrix_of_empty_graph():
-    assert me.adjacency_matrix(me.Graph(0, ())).shape == (0, 0)
+    assert me.adjacency_matrix(me.Graph.from_edges(0, [])).shape == (0, 0)
 
 
 @pytest.mark.parametrize("spec", ["rook:4", "gnp:40:0.5:1"])
-def test_analysis_unpacks_the_bitsets_once(spec, monkeypatch):
+def test_analysis_builds_the_matrix_once(spec, monkeypatch):
+    # Every graph is built by Graph._from_pairs, and analysis builds none.
     calls = []
-    unpack = graphs.unpack_rows
-    monkeypatch.setattr(graphs, "unpack_rows", lambda *args: calls.append(1) or unpack(*args))
-    me.analyze_graph(me.generate_from_string(spec))
+    build = graphs.Graph._from_pairs
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(graphs.Graph, "_from_pairs", counted)
+    g = me.generate_from_string(spec)
+    me.analyze_graph(g)
     assert len(calls) == 1
+    assert me.parse_graph6(me.write_graph6(g)) == g and len(calls) == 2
 
 
 @pytest.mark.parametrize(
@@ -145,7 +159,7 @@ def test_graph_above_vertex_cap_builds_no_dense_matrix():
 
 
 def test_graph_far_above_vertex_cap_is_validated_from_its_set_bits():
-    # Validation there reads only set bits, so a sparse graph past 2048**2 builds.
+    # Validation there reads only the edge arrays, so a sparse graph past 2048**2 builds.
     n = TRACE_MAX_VERTICES**2 + 1
     g = me.Graph.from_edges(n, [(0, n - 1)])
     assert g.matrix is None and g.m == 1
@@ -153,19 +167,31 @@ def test_graph_far_above_vertex_cap_is_validated_from_its_set_bits():
         me.write_graph6(g)
 
 
-def test_asymmetry_above_vertex_cap_names_the_first_pair():
+def test_graph_above_vertex_cap_keeps_sorted_edges():
     n = TRACE_MAX_VERTICES + 1
-    adj = [0] * n
-    adj[3], adj[n - 1], adj[7] = 1 << (n - 1), 1 << 3, 1 << 2
-    with pytest.raises(GraphError, match="adjacency not symmetric at \\(7, 2\\)"):
-        me.Graph(n, tuple(adj))
+    g = me.Graph.from_edges(n, [(n - 1, 3), (7, 2), (3, n - 1), (2, 7), (0, 5)], label="x")
+    assert g.matrix is None
+    assert list(g.edges()) == [(0, 5), (2, 7), (3, n - 1)]
+    assert (g.m, g.degree(3), g.degree(n - 1), g.degree(1)) == (3, 1, 1, 0)
+    assert g.has_edge(n - 1, 3) and g.has_edge(7, 2) and not g.has_edge(3, 7)
+    assert g == me.Graph.from_edges(n, [(0, 5), (2, 7), (3, n - 1)])
+    assert g != me.Graph.from_edges(n, [(0, 5), (2, 7)])
+    assert hash(g) == hash(me.Graph.from_edges(n, [(3, n - 1), (7, 2), (5, 0)]))
+    for search in (me.is_connected, me.bipartition):
+        with pytest.raises(GraphError, match="exceeds the dense-matrix cap"):
+            search(g)
 
 
 def test_matrix_is_not_a_constructor_argument():
+    # Graph.from_edges is the only public constructor.
     with pytest.raises(TypeError):
-        me.Graph(2, (0, 0), matrix=np.ones((2, 2), np.uint8))
-    g = me.Graph(2, (2, 1))
+        me.Graph(2, matrix=np.ones((2, 2), np.uint8))
+    with pytest.raises(TypeError):
+        me.Graph(2, (2, 1))
+    g = me.Graph.from_edges(2, [(1, 0)])
     assert g.matrix.tolist() == [[0, 1], [1, 0]]
+    with pytest.raises(AttributeError):
+        g.n = 3
 
 
 def test_parse_edge_list_slow_path_builds_the_graph(monkeypatch):

@@ -1,4 +1,4 @@
-"""The parsers and Graph validation against the reference loops in conftest.
+"""The parsers and Graph.from_edges against the reference loops in conftest.
 
 Each property draws input, runs the package and the reference, and requires
 the same graph or the same exception type with the same message.
@@ -14,7 +14,7 @@ import menergy as me
 from menergy.graph6 import Graph6Error
 from menergy.graphs import TRACE_MAX_VERTICES, _edge_pairs
 
-from conftest import reference_parse_edge_list, reference_parse_graph6, reference_validate
+from conftest import reference_from_edges, reference_parse_edge_list, reference_parse_graph6
 
 # Characters str.split() and str.strip() treat as whitespace, "\n" aside:
 # ASCII blanks, CR, and the separators 0x1c-0x1f.
@@ -31,17 +31,12 @@ def outcome(parse, *args):
         return type(err), str(err)
 
 
-def as_rows(g: me.Graph) -> tuple[int, tuple[int, ...]]:
-    return g.n, g.adj
+def as_edges(g: me.Graph) -> tuple[int, tuple[tuple[int, int], ...]]:
+    return g.n, tuple(g.edges())
 
 
-def constructed(n, adj):
-    return as_rows(me.Graph(n, adj))
-
-
-def reference_constructed(n, adj):
-    reference_validate(n, adj)
-    return n, adj
+def constructed(n, edges):
+    return as_edges(me.Graph.from_edges(n, edges))
 
 
 @st.composite
@@ -95,7 +90,7 @@ def edge_list_text(draw):
 @settings(max_examples=400, deadline=None)
 @given(edge_list_text())
 def test_edge_list_parser_matches_reference(text):
-    got = outcome(lambda t: as_rows(me.parse_edge_list(t)), text)
+    got = outcome(lambda t: as_edges(me.parse_edge_list(t)), text)
     assert got == outcome(reference_parse_edge_list, text)
 
 
@@ -108,7 +103,7 @@ def test_edge_list_error_names_the_first_bad_line(n, data):
     bad = data.draw(st.sampled_from([f"{n} 0", "0 0", "-1 0", "1", "1 2 3", "a b", "1_ 2"]))
     lines.insert(data.draw(st.integers(0, len(lines))), bad)
     text = f"n {n}\n" + "\n".join(lines)
-    got = outcome(lambda t: as_rows(me.parse_edge_list(t)), text)
+    got = outcome(lambda t: as_edges(me.parse_edge_list(t)), text)
     assert got == outcome(reference_parse_edge_list, text)
 
 
@@ -145,29 +140,28 @@ def test_graph6_parser_matches_reference(n, data):
             del chars[pos]
     head = data.draw(st.sampled_from(["", "", "", ">>graph6<<", ">>graph6<<", ">>graph5<<", ">>"]))
     text = data.draw(GRAPH6_PAD) + head + "".join(chars) + data.draw(GRAPH6_PAD)
-    got = outcome(lambda t: as_rows(me.parse_graph6(t)), text)
+    got = outcome(lambda t: as_edges(me.parse_graph6(t)), text)
     assert got == outcome(reference_parse_graph6, text)
 
 
 @st.composite
-def bitset_rows(draw):
+def edge_pairs(draw):
+    """A shuffled G(n, p) edge list; pairs reversed, repeated, on the diagonal or out of range."""
     n = draw(st.integers(0, 9))
-    rows = list(me.random_gnp(n, draw(st.sampled_from([0.3, 0.7])), draw(st.integers(0, 5))).adj)
-    for _ in range(draw(st.integers(0, 3)) if n else 0):
-        # Flipping bit j of row i breaks symmetry, or sets the diagonal (j = i),
-        # or reaches past the last vertex (j = n).
-        rows[draw(st.integers(0, n - 1))] ^= 1 << draw(st.integers(0, n))
-    if not draw(st.integers(0, 4)):
-        rows = draw(st.lists(st.integers(-2, 2 ** (n + 1)), min_size=n, max_size=n))
-    if not draw(st.integers(0, 9)):
-        rows = rows[: draw(st.integers(0, n))] + draw(st.lists(st.integers(0, 3), max_size=1))
-    return draw(st.sampled_from([n] * 9 + [-1])), tuple(rows)
+    g = me.random_gnp(n, draw(st.sampled_from([0.3, 0.7])), draw(st.integers(0, 5)))
+    edges = draw(st.permutations(list(g.edges())))
+    edges = [(j, i) if draw(st.booleans()) else (i, j) for i, j in edges]
+    for _ in range(draw(st.integers(0, 3))):
+        # Any pair in -2..n+1 repeats an edge, or sets the diagonal, or leaves the range.
+        pair = draw(st.integers(-2, n + 1)), draw(st.integers(-2, n + 1))
+        edges.insert(draw(st.integers(0, len(edges))), pair)
+    return draw(st.sampled_from([n] * 9 + [-1])), edges
 
 
 @settings(max_examples=400, deadline=None)
-@given(bitset_rows())
-def test_graph_validation_matches_reference(n_adj):
-    assert outcome(constructed, *n_adj) == outcome(reference_constructed, *n_adj)
+@given(edge_pairs())
+def test_graph_validation_matches_reference(n_edges):
+    assert outcome(constructed, *n_edges) == outcome(reference_from_edges, *n_edges)
 
 
 @pytest.mark.parametrize(
@@ -183,12 +177,8 @@ def test_graph_validation_matches_reference(n_adj):
     ],
 )
 def test_validation_above_vertex_cap_matches_reference(bits):
-    # Above the cap the symmetry check runs block by block.
-    rows = [0] * 3000
-    for i, j in bits:
-        rows[i] |= 1 << j
-    adj = tuple(rows)
-    assert outcome(constructed, 3000, adj) == outcome(reference_constructed, 3000, adj)
+    # Above the cap the graph keeps its edges as sorted index arrays, not a matrix.
+    assert outcome(constructed, 3000, bits) == outcome(reference_from_edges, 3000, bits)
 
 
 PAD_ASCII = st.sampled_from(["", "", "", " ", "\t", "\r"])
@@ -240,7 +230,7 @@ def wide_edge_list_text(draw):
 @settings(max_examples=150, deadline=None)
 @given(wide_edge_list_text())
 def test_wide_edge_list_parser_matches_reference(text):
-    got = outcome(lambda t: as_rows(me.parse_edge_list(t)), text)
+    got = outcome(lambda t: as_edges(me.parse_edge_list(t)), text)
     assert got == outcome(reference_parse_edge_list, text)
 
 
@@ -252,5 +242,5 @@ def test_random_edge_list_at_the_vertex_cap_matches_reference():
     # Every index fits in 4 digits, so the byte tokenizer reads all of it.
     assert _edge_pairs(body, n) is not None
     g = me.parse_edge_list(f"n {n}\n" + body)
-    assert as_rows(g) == reference_parse_edge_list(f"n {n}\n" + body)
+    assert as_edges(g) == reference_parse_edge_list(f"n {n}\n" + body)
     assert g == me.Graph.from_edges(n, pairs)

@@ -330,19 +330,24 @@ def test_upper_node_at_zero_moves_to_the_floor():
 
 
 def test_degree_four_upper_is_the_closed_form_quartic():
-    # The k = 2 right Radau rule touches at sqrt((m2s - m4s) / (m0s - m2s)) and 1.
-    checked = 0
-    for spec in CORPUS_SPECS:
+    # The k = 2 right Radau rule touches at sqrt((m2s - m4s) / (m0s - m2s)) and 1, and the
+    # paper's closed form, proved in integers, is the same float.  Where c1 = D^2 M2 - M4 = 0
+    # the moments sit on the boundary and the closed form M2 / D may lie below the quadrature.
+    gnp = [f"gnp:{n}:{p}:{seed}" for n in (8, 12, 16) for p in (0.2, 0.5, 0.8) for seed in range(7)]
+    specs = CORPUS_SPECS + gnp
+    on_boundary = []
+    for spec in specs:
         g = corpus_graph(spec)
-        if me.degree_stats(g).max_degree < 1:
+        if g.m == 0:
             continue
         s = summary_of(g)
-        if me.optimal_tangency(s)[1]:
-            continue
-        sol = solve_bound_lp(lp_problem(g, 4, "above"))
-        assert sol.objective == pytest.approx(me.best_quartic_bound(s), rel=1e-10), spec
-        checked += 1
-    assert checked >= 20
+        closed, upper = me.best_quartic_bound(s), me.bound_sweep(g, 4)[1].upper.objective
+        if s.gaps[1]:
+            assert closed == upper, spec
+        else:
+            assert closed <= upper, spec
+            on_boundary.append(spec)
+    assert len(specs) - len(on_boundary) >= 90 and "gnp:8:0.2:6" in on_boundary
 
 
 # The corpus graphs with edges, plus twelve regression families.

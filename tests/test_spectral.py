@@ -67,7 +67,7 @@ def test_residual_bounds_energy_error_far_below_soundness_gate(spec):
 
 
 def test_spectrum_refused_above_vertex_cap():
-    g = me.Graph(TRACE_MAX_VERTICES + 1, (0,) * (TRACE_MAX_VERTICES + 1))
+    g = me.Graph.from_edges(TRACE_MAX_VERTICES + 1, [])
     with pytest.raises(CapExceededError, match="cap"):
         me.eigenvalues(g)
 
