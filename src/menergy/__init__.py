@@ -36,6 +36,7 @@ from .families import (
 )
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .graphs import (
+    CapExceededError,
     Graph,
     GraphError,
     bipartition,
@@ -74,7 +75,6 @@ from .quartic import (
 )
 from .report import BoundReport, analyze_graph, soundness_ok
 from .spectral import (
-    CapExceededError,
     Spectrum,
     adjacency_matrix,
     eigenvalues,

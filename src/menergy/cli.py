@@ -30,11 +30,10 @@ from typing import Callable, Iterator, TextIO
 
 from .families import FamilyError, generate, parse_family_spec
 from .graph6 import WHITESPACE, Graph6Error, check_encodable, graph6_order, parse_graph6, write_graph6
-from .graphs import TRACE_MAX_VERTICES, Graph, GraphError, parse_edge_list
+from .graphs import CapExceededError, Graph, GraphError, check_order, parse_edge_list
 from .moments import MomentMismatchError, NoEdgesError
 from .polyopt import MAX_LP_DEGREE, bound_sweep
 from .report import analyze_graph, soundness_ok
-from .spectral import CapExceededError
 
 ANALYZE_COLUMNS = (
     "n",
@@ -86,17 +85,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _check_cap(n: int) -> None:
-    """Refuse a graph from its vertex count, before building it: the cost grows as n^2."""
-    if n > TRACE_MAX_VERTICES:
-        raise GraphError(f"n={n} exceeds the dense-matrix cap {TRACE_MAX_VERTICES}")
-
-
 def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
     if args.gen is not None:
         try:
             spec = parse_family_spec(args.gen)
-            _check_cap(spec.order)
+            check_order(spec.order)
             g = generate(spec)
         except FamilyError as err:
             raise InputError(f"bad family spec {args.gen!r}: {err}") from err
@@ -127,7 +120,7 @@ def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
         if not line.strip(WHITESPACE):
             continue
         try:  # the size field gives n before n^2 / 2 bits are decoded
-            _check_cap(graph6_order(line))
+            check_order(graph6_order(line))
             yield f"line {lineno}", parse_graph6(line)
         except (Graph6Error, GraphError) as err:
             raise InputError(f"line {lineno}: {err}") from err

@@ -16,6 +16,16 @@ class GraphError(ValueError):
     """Structurally invalid graph input: self loops, bad indices, malformed text."""
 
 
+class CapExceededError(GraphError):
+    """A request outside the supported exact-arithmetic size caps."""
+
+
+def check_order(n: int) -> None:
+    """Refuse n vertices above TRACE_MAX_VERTICES, before any n x n work."""
+    if n > TRACE_MAX_VERTICES:
+        raise CapExceededError(f"n={n} exceeds the dense-matrix cap {TRACE_MAX_VERTICES}")
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``; build one with ``Graph.from_edges``.
@@ -179,8 +189,7 @@ def _layers(g: Graph, root: int) -> Iterator[np.ndarray]:
 
     Every edge joins two vertices of one layer or of consecutive layers.
     """
-    if g.matrix is None:
-        raise GraphError(f"n={g.n} exceeds the dense-matrix cap {TRACE_MAX_VERTICES}")
+    check_order(g.n)
     adj = g.matrix.view(bool)
     frontier = seen = np.arange(g.n) == root
     while np.count_nonzero(frontier):

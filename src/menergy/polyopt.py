@@ -45,9 +45,9 @@ from .graphs import Graph
 from .moments import NoEdgesError, degree_stats
 from .quartic import EvenPolynomial, round_outward
 from .quartic import verify_majorization, violation_minima  # noqa: F401  (a tracer hooks these)
-from .spectral import trace_moments
+from .spectral import TRACE_MAX_POWER, trace_moments
 
-MAX_LP_DEGREE = 16
+MAX_LP_DEGREE = TRACE_MAX_POWER  # the degree-k bound reads Tr(A^k)
 # Interior nodes below this u move up to it: a node at 0 needs an infinite slope.
 NODE_FLOOR = 1e-12
 

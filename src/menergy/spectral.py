@@ -12,13 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import TRACE_MAX_VERTICES, Graph
+from .graphs import TRACE_MAX_VERTICES, CapExceededError, Graph, check_order  # noqa: F401
 
 TRACE_MAX_POWER = 16
-
-
-class CapExceededError(ValueError):
-    """A request outside the supported exact-arithmetic size caps."""
 
 
 @dataclass(frozen=True)
@@ -31,8 +27,7 @@ class Spectrum:
 
 def dense_adjacency(g: Graph) -> np.ndarray:
     """The float64 adjacency matrix, refused above the dense-kernel vertex cap."""
-    if g.n > TRACE_MAX_VERTICES:
-        raise CapExceededError(f"n={g.n} exceeds the dense-matrix cap {TRACE_MAX_VERTICES}")
+    check_order(g.n)
     return g.matrix.astype(np.float64)
 
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import menergy as me
 import menergy.cli as cli
 from menergy.cli import ANALYZE_COLUMNS, SWEEP_COLUMNS, main
 from menergy.graph6 import MAX_VERTICES
@@ -457,6 +458,50 @@ def test_generate_refuses_spec_above_graph6_size_field_before_building(monkeypat
     assert code == 1
     assert out == ""
     assert err == f"graph too large to encode: n={MAX_VERTICES + 1} exceeds {MAX_VERTICES}\n"
+
+
+LIBRARY_ABOVE_CAP = {
+    "eigenvalues": me.eigenvalues,
+    "trace_moments": lambda g: me.trace_moments(g, 4),
+    "codegree_matrix": me.codegree_matrix,
+    "moment_summary": me.moment_summary,
+    "analyze_graph": me.analyze_graph,
+    "bound_sweep": lambda g: me.bound_sweep(g, 4),
+    "is_connected": me.is_connected,
+    "bipartition": me.bipartition,
+}
+
+
+@pytest.mark.parametrize("entry", ["cli-graph6", "cli-gen", *LIBRARY_ABOVE_CAP])
+def test_every_vertex_cap_entry_point_raises_the_one_cap_error(entry, tmp_path, capsys):
+    if entry.startswith("cli"):
+        n = 3000
+        if entry == "cli-graph6":
+            path = tmp_path / "big.g6"
+            path.write_text("~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0)) + "\n")
+            argv, where = ["analyze", "--in", str(path)], "line 1"
+        else:
+            argv, where = ["analyze", "--gen", f"cycle:{n}"], f"cycle:{n}"
+        with pytest.raises(cli.InputError) as info:
+            next(cli._input_graphs(cli.build_parser().parse_args(argv)))
+        err = info.value.__cause__
+        assert run_cli(argv, capsys) == (1, "", f"{where}: {err}\n")
+    else:
+        n = TRACE_MAX_VERTICES + 1
+        with pytest.raises(me.CapExceededError) as info:
+            LIBRARY_ABOVE_CAP[entry](Graph.from_edges(n, [(0, 1)]))
+        err = info.value
+    assert type(err) is me.CapExceededError and isinstance(err, me.GraphError)
+    assert str(err) == f"n={n} exceeds the dense-matrix cap {TRACE_MAX_VERTICES}"
+
+
+def test_edge_list_header_above_cap_stays_a_located_graph_error():
+    with pytest.raises(me.GraphError) as info:
+        me.parse_edge_list(f"\nn {TRACE_MAX_VERTICES + 1}\n0 1\n")
+    assert type(info.value) is me.GraphError
+    assert str(info.value) == (
+        f"line 2: n={TRACE_MAX_VERTICES + 1} exceeds the dense-matrix cap {TRACE_MAX_VERTICES}"
+    )
 
 
 @pytest.mark.parametrize("command", COMMANDS)
