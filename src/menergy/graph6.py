@@ -93,6 +93,9 @@ def write_graph6(g: Graph) -> str:
     size = [n] if n <= 62 else [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
     i, j = g._pairs()
     k = j * (j - 1) // 2 + i  # stream position of x(i, j)
-    groups = np.zeros((n * (n - 1) // 2 + 5) // 6, np.uint8)
-    np.bitwise_or.at(groups, k // 6, (32 >> k % 6).astype(np.uint8))
-    return (np.concatenate([np.array(size, np.uint8), groups]) + 63).tobytes().decode("ascii")
+    line = np.full(len(size) + (n * (n - 1) // 2 + 5) // 6, 63, np.uint8)  # the one buffer
+    line[: len(size)] += np.array(size, np.uint8)
+    np.add.at(line, len(size) + k // 6, (32 >> k % 6).astype(np.uint8))  # distinct bits: + is |
+    data = line.tobytes()
+    del line  # so the line is held twice at most, as bytes and then as str
+    return data.decode("ascii")

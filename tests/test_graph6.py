@@ -1,5 +1,7 @@
 """graph6 codec against hand fixtures and the networkx reference codec."""
 
+import tracemalloc
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -143,3 +145,16 @@ def test_random_round_trip(n, rng):
     text = me.write_graph6(g)
     assert me.parse_graph6(text) == g
     assert nx_reference(g) == text
+
+
+def test_writer_holds_the_line_at_most_twice():
+    # One uint8 buffer, dropped before its bytes become the str: never three copies.
+    g = me.generate_from_string("cycle:6000")
+    tracemalloc.start()
+    try:
+        line = me.write_graph6(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(line) == 4 + (6000 * 5999 // 2 + 5) // 6
+    assert peak < 2.5 * len(line)
