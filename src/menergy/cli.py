@@ -129,9 +129,10 @@ def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
 def _rewind(sink: TextIO) -> None:
     """Empty an --out file, which is opened for appending so that it survives failed runs.
 
-    Devices such as /dev/null cannot be truncated and need not be.
+    Appending opens at the end, so a new or empty file, /dev/null (which reads 0) and a
+    pipe (not seekable) are left alone; stdout, maybe a file written to before, always is.
     """
-    if sink is not sys.stdout and os.path.isfile(sink.name):
+    if sink is not sys.stdout and sink.seekable() and sink.tell():
         sink.truncate(0)
 
 
@@ -287,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     # Appending leaves an existing file whole until the output is ready, which
     # also keeps --out FILE readable as --in FILE.
     try:
-        sink = open(args.out, "a", encoding="ascii", newline="") if args.out else None
+        sink = open(args.out, "a", encoding="utf-8", newline="") if args.out else None
     except OSError as err:
         print(f"cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
         return 1

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -644,6 +645,29 @@ def test_out_may_name_the_input_file(tmp_path, capsys):
     assert len(parse_csv(expected)[1]) == 2
 
 
+def _readme_examples():
+    """(argv, shown lines) for every `$ menergy ...` in README.md that shows its output."""
+    examples = []
+    for block in (Path(__file__).resolve().parents[1] / "README.md").read_text().split("\n\n"):
+        lines = [ln for ln in block.splitlines() if not ln.startswith(("#", "```"))]
+        command, *shown = lines or [""]
+        if command.startswith("$ menergy ") and shown:
+            examples.append((shlex.split(command)[2:], shown))
+    return examples
+
+
+def test_readme_examples_print_what_readme_shows(capsys):
+    examples = _readme_examples()
+    assert [argv[0] for argv, _ in examples] == ["analyze", "generate", "sweep"]
+    for argv, shown in examples:
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) >= len(shown)
+        for want, got in zip(shown, lines):
+            assert got.startswith(want.removesuffix("...")) if want.endswith("...") else got == want
+
+
 @pytest.mark.parametrize("command", [["analyze", "--gen", "petersen"], ["generate", "petersen"]])
 def test_out_may_name_a_device(command, capsys):
     code, out, err = run_cli(command + ["--out", os.devnull], capsys)
@@ -656,6 +680,19 @@ def test_out_replaces_a_longer_file(tmp_path, capsys):
     code, _, _ = run_cli(["generate", "complete:2", "--out", str(path)], capsys)
     assert code == 0
     assert path.read_text() == "A_\n"
+
+
+def test_out_is_utf8_and_holds_a_non_ascii_input_path(tmp_path, capsys):
+    source = tmp_path / "grafé.txt"
+    source.write_text("n 3\n0 1\n1 2\n")
+    argv = ["sweep", "--in", str(source), "--in-format", "edgelist", "--max-degree", "4"]
+    _, expected, _ = run_cli(argv, capsys)
+    assert "grafé" in expected
+    path = tmp_path / "out.csv"
+    path.write_text("earlier results\n")
+    code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+    assert (code, out, err) == (0, "", "")
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
