@@ -93,7 +93,7 @@ def write_graph6(g: Graph) -> str:
     size = [n] if n <= 62 else [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
     i, j = g._pairs()
     k = j * (j - 1) // 2 + i  # stream position of x(i, j)
-    line = np.full(len(size) + (n * (n - 1) // 2 + 5) // 6, 63, np.uint8)  # the one buffer
+    line = np.full(len(size) + (n * (n - 1) // 2 + 5) // 6, 63, np.uint8)
     line[: len(size)] += np.array(size, np.uint8)
     np.add.at(line, len(size) + k // 6, (32 >> k % 6).astype(np.uint8))  # distinct bits: + is |
     data = line.tobytes()
