@@ -50,7 +50,7 @@ def analyze_graph(g: Graph) -> BoundReport:
             classification=EqualityClass("TightUnclassified"),
             connected=connected,
         )
-    energy_value = float(sum(abs(v) for v in eigenvalues(g).eigenvalues))
+    energy_value = eigenvalues(g).energy
     scaled = scaled_moments(summary)
     tangency, clamped = optimal_tangency(summary)
     bound = best_quartic_bound(summary)

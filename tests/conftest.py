@@ -11,13 +11,15 @@ are counted by depth-first enumeration rather than matrix powers,
 quadrilaterals by testing all three pairings of every 4-subset, two-colourings
 by a stack depth-first search rather than breadth-first layers, the
 parsers and Graph.from_edges by the per-line, per-bit and per-edge loops they
-replaced, and Gauss nodes by the three-np.diag Jacobi matrix that one filled
-array replaced.
+replaced, Gauss nodes by the three-np.diag Jacobi matrix that one filled
+array replaced, and energies by eigenpairs from numpy.linalg.eigh, checked by
+their residual, where menergy.spectral reads eigenvalues alone.
 """
 
 import itertools
 import math
 import operator
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -69,6 +71,17 @@ CORPUS_SPECS = [
     "union:star:3,path:4",
     "union:complete:2,complete:2,complete:2",
 ]
+
+# Energies known in closed form, as 40-digit Decimals where irrational.
+EXACT_ENERGIES = {
+    "complete:2": 2, "complete:5": 8, "cycle:4": 4, "cycle:6": 8, "star:4": 4,
+    "bipartite:3:3": 6, "petersen": 16, "rook:4": 36,
+}
+with localcontext(prec=40):
+    # FFj?? has spectrum +-(1 + sqrt 2), +-1, +-(sqrt 2 - 1) and 0.
+    FFJ_ENERGY = 2 + 4 * Decimal(2).sqrt()
+    # Heawood: +-3 once each and +-sqrt 2 six times each.
+    HEAWOOD_ENERGY = 6 + 12 * Decimal(2).sqrt()
 
 # Criterion batch: 200 seeded G(n, p), n in 4..24, p cycling {0.2, 0.5, 0.8}.
 GNP_COUNT = 200
@@ -223,6 +236,15 @@ def reference_gauss_nodes(moments: list[int]) -> np.ndarray:
         alpha.append(num / (minors[j + 1] * minors[j]))
     beta = [np.sqrt(minors[j] * minors[j + 2] / minors[j + 1] ** 2) for j in range(r - 1)]
     return np.linalg.eigvalsh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+
+
+def reference_eigenpairs(g: me.Graph) -> tuple[float, float]:
+    """The energy from numpy.linalg.eigh, divide and conquer with eigenvectors, and the
+    residual ||A V - V Lambda||_F of those eigenpairs.  Energy is the trace norm of A, so
+    sqrt(n) times the residual bounds the error of the energy."""
+    a = g.matrix.astype(np.float64)
+    vals, vecs = np.linalg.eigh(a)
+    return float(sum(abs(v) for v in vals[::-1])), float(np.linalg.norm(a @ vecs - vecs * vals))
 
 
 def brute_force_design(g: me.Graph) -> tuple[int, int, int] | None:

@@ -10,6 +10,7 @@ moves.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import menergy as me
@@ -40,6 +41,21 @@ GENERATE_SPECS = (
     ],
 )
 def test_cli_output_matches_golden_bytes(expected, extra, tmp_path):
+    out = tmp_path / expected
+    code = main([*extra, "--in", str(GOLDEN / "families.g6"), "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / expected).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "expected,extra",
+    [("analyze.csv", ["analyze"]), ("sweep8.csv", ["sweep", "--max-degree", "8"])],
+)
+def test_printed_output_needs_no_eigenvectors(expected, extra, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called: the printed energy needs eigenvalues only")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
     out = tmp_path / expected
     code = main([*extra, "--in", str(GOLDEN / "families.g6"), "--out", str(out)])
     assert code == 0

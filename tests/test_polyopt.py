@@ -1,7 +1,6 @@
 """Bounds layer: problem assembly, principal-representation solves, sweeps, the kept simplex."""
 
 import dataclasses
-import decimal
 import math
 from collections import Counter
 from decimal import Decimal
@@ -28,7 +27,15 @@ from menergy.polyopt import (
 from menergy.quartic import verify_majorization
 from menergy.report import SOUNDNESS_RTOL
 
-from conftest import CORPUS_SPECS, corpus_graph, reference_gauss_nodes, spectrum_of, summary_of
+from conftest import (
+    CORPUS_SPECS,
+    EXACT_ENERGIES,
+    FFJ_ENERGY,
+    corpus_graph,
+    reference_gauss_nodes,
+    spectrum_of,
+    summary_of,
+)
 from test_exhaustive import representatives
 
 
@@ -644,15 +651,6 @@ def test_corpus_sweeps_to_degree_sixteen():
         for e in entries:
             assert e.upper.certified and e.lower.certified, (spec, e.degree)
             assert me.soundness_ok(energy, e.upper.objective, e.lower.objective), (spec, e.degree)
-
-
-EXACT_ENERGIES = {
-    "complete:2": 2, "complete:5": 8, "cycle:4": 4, "cycle:6": 8, "star:4": 4,
-    "bipartite:3:3": 6, "petersen": 16, "rook:4": 36,
-}
-# FFj?? has spectrum +-(1 + sqrt 2), +-1, +-(sqrt 2 - 1) and 0.
-with decimal.localcontext(prec=40):
-    FFJ_ENERGY = 2 + 4 * Decimal(2).sqrt()
 
 
 @pytest.mark.parametrize("name, energy", [*EXACT_ENERGIES.items(), ("FFj??", FFJ_ENERGY)])

@@ -1,6 +1,7 @@
 """Eigensolver and exact walk counts against independent references."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -10,15 +11,24 @@ import menergy as me
 from menergy.report import SOUNDNESS_RTOL
 from menergy.spectral import TRACE_MAX_POWER, TRACE_MAX_VERTICES, CapExceededError
 
-from conftest import CORPUS_SPECS, corpus_graph, count_closed_walks, spectrum_of
+from conftest import (
+    CORPUS_SPECS,
+    EXACT_ENERGIES,
+    FFJ_ENERGY,
+    HEAWOOD_ENERGY,
+    corpus_graph,
+    count_closed_walks,
+    reference_eigenpairs,
+    spectrum_of,
+)
 
 
 @pytest.mark.parametrize("spec", CORPUS_SPECS)
 def test_eigenvalues_match_lapack(spec):
     g = corpus_graph(spec)
     ours = np.array(spectrum_of(g).eigenvalues)
-    # QR iteration, not the divide-and-conquer driver behind numpy.linalg.eigh.
-    ref = scipy.linalg.eigvalsh(me.adjacency_matrix(g).astype(float), driver="ev")[::-1]
+    # Bisection (dstebz), not the dsterf QR iteration behind numpy.linalg.eigvalsh.
+    ref = scipy.linalg.eigvalsh(me.adjacency_matrix(g).astype(float), driver="evx")[::-1]
     assert np.allclose(ours, ref, atol=1e-9)
 
 
@@ -56,14 +66,31 @@ def test_residual_reported():
     assert 0.0 <= s.residual < 1e-10 * 10 * 3
 
 
+def test_residual_is_the_second_moment_defect():
+    for spec in ("petersen", "gnp:24:0.5:4", "path:1"):
+        g = corpus_graph(spec)
+        s = spectrum_of(g)
+        assert s.residual == abs(math.fsum(v * v for v in s.eigenvalues) - 2 * g.m)
+
+
 @pytest.mark.parametrize("spec", CORPUS_SPECS)
 def test_residual_bounds_energy_error_far_below_soundness_gate(spec):
-    # Energy is the trace norm, so sqrt(n) * ||A V - V Lambda||_F bounds the
-    # energy error of the computed spectrum.
+    # The reference eigenpairs' sqrt(n) * ||A V - V Lambda||_F bounds the error of
+    # their energy; the printed energy must sit as far inside the gate from it.
     g = corpus_graph(spec)
-    s = spectrum_of(g)
-    energy = sum(abs(v) for v in s.eigenvalues)
-    assert math.sqrt(g.n) * s.residual <= 1e-3 * SOUNDNESS_RTOL * energy
+    reference, residual = reference_eigenpairs(g)
+    gate = 1e-3 * SOUNDNESS_RTOL * reference
+    assert math.sqrt(g.n) * residual <= gate
+    assert abs(me.energy(g) - reference) <= gate
+
+
+@pytest.mark.parametrize(
+    "name, exact",
+    [*EXACT_ENERGIES.items(), ("FFj??", FFJ_ENERGY), ("heawood", HEAWOOD_ENERGY)],
+)
+def test_energy_matches_the_exact_energy_far_below_soundness_gate(name, exact):
+    g = me.parse_graph6(name) if name == "FFj??" else corpus_graph(name)
+    assert abs(Decimal(me.energy(g)) - exact) <= Decimal(1e-3 * SOUNDNESS_RTOL) * exact
 
 
 def test_spectrum_refused_above_vertex_cap():
