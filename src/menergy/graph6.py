@@ -21,6 +21,12 @@ MAX_VERTICES = 258047  # largest n encodable in the 3-byte size field
 # str.strip() would also drop the separators 0x1c-0x1f and hide a corrupt byte.
 WHITESPACE = " \t\n\r\x0b\x0c"
 
+# Stream position k of x(i, j), i < j, is entry k of the strict lower triangle read
+# row by row, so for any n up to the table's order, (j, i) = _LOWER[0][k], _LOWER[1][k].
+# The order is bounded because the table holds 16 bytes per adjacency bit.
+_LOWER_ORDER = 128
+_LOWER = np.tril_indices(_LOWER_ORDER, -1)
+
 
 class Graph6Error(ValueError):
     """Malformed graph6 input, or a graph too large to encode."""
@@ -75,7 +81,10 @@ def parse_graph6(line: str) -> Graph:
         if int(body[-1]) & ((1 << pad) - 1):
             raise Graph6Error("nonzero padding bits")
     bits = ((body[:, None] >> np.arange(5, -1, -1, dtype=np.uint8)) & 1).ravel()[:nbits]
-    k = np.flatnonzero(bits)  # bit k is x(i, j) for the j with j(j-1)/2 <= k < j(j+1)/2
+    k = np.flatnonzero(bits)
+    if n <= _LOWER_ORDER:
+        return Graph._from_pairs(n, _LOWER[1][k], _LOWER[0][k])
+    # Above the table's order, bit k is x(i, j) for the j with j(j-1)/2 <= k < j(j+1)/2.
     starts = np.arange(n) * (np.arange(n) - 1) // 2
     j = np.searchsorted(starts, k, side="right") - 1
     return Graph._from_pairs(n, k - starts[j], j)

@@ -144,6 +144,14 @@ def test_graph6_parser_matches_reference(n, data):
     assert got == outcome(reference_parse_graph6, text)
 
 
+@pytest.mark.parametrize("n", [126, 127, 128, 129, 130, 200])
+def test_graph6_parser_matches_reference_across_the_index_table_order(n):
+    # graph6.parse_graph6 reads columns from a table up to n = 128 and searches them above.
+    for p, seed in ((0.02, 1), (0.5, 2), (1.0, 3)):
+        text = me.write_graph6(me.random_gnp(n, p, seed))
+        assert as_edges(me.parse_graph6(text)) == reference_parse_graph6(text)
+
+
 @st.composite
 def edge_pairs(draw):
     """A shuffled G(n, p) edge list; pairs reversed, repeated, on the diagonal or out of range."""
