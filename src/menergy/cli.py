@@ -32,7 +32,7 @@ from .families import FamilyError, generate, parse_family_spec
 from .graph6 import WHITESPACE, Graph6Error, check_encodable, graph6_order, parse_graph6, write_graph6
 from .graphs import CapExceededError, Graph, GraphError, check_order, parse_edge_list
 from .moments import MomentMismatchError, NoEdgesError
-from .polyopt import MAX_LP_DEGREE, bound_sweep
+from .polyopt import bound_sweep, check_sweep_degree
 from .report import analyze_graph, soundness_ok
 
 ANALYZE_COLUMNS = (
@@ -276,14 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "sweep" and (
-        args.max_degree < 2 or args.max_degree % 2 or args.max_degree > MAX_LP_DEGREE
-    ):
-        print(
-            f"max degree must be even in 2..{MAX_LP_DEGREE}, got {args.max_degree}",
-            file=sys.stderr,
-        )
-        return 1
+    if args.command == "sweep":
+        try:
+            check_sweep_degree(args.max_degree)
+        except ValueError as err:
+            print(err, file=sys.stderr)
+            return 1
     # Open --out before any work, so an unwritable path costs no computation.
     # Appending leaves an existing file whole until the output is ready, which
     # also keeps --out FILE readable as --in FILE.

@@ -8,6 +8,7 @@ coincide, and incidence graphs of symmetric designs; the classifier recognises
 exactly these and reports anything else as tight but unclassified.
 Every test reads the graph's one MomentSummary: regularity is n D = 2m,
 completeness m = n(n-1)/2, and the codegrees are the summary's matrix.
+Connectivity is the caller's: analyze_graph searches once and passes it in.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, bipartition, is_connected
+from .graphs import Graph, bipartition
 from .moments import MomentSummary
 
 
@@ -98,19 +99,19 @@ def detect_design_incidence(g: Graph, s: MomentSummary) -> tuple[int, int, int] 
     return (len(left), s.max_degree, lam)
 
 
-def classify_equality(g: Graph, s: MomentSummary) -> EqualityClass:
+def classify_equality(g: Graph, s: MomentSummary, connected: bool) -> EqualityClass:
     """Decide whether the bound is attained and, if so, by which family.
 
-    Checks in order: tightness of the bound (spectrum_membership), then
-    complete graphs, design incidence graphs, and strongly regular graphs with
-    equal parameters.
+    Checks in order: tightness of the bound (spectrum_membership), connectivity (the
+    caller's is_connected(g)), then complete graphs, design incidence graphs, and
+    strongly regular graphs with equal parameters.
     The single edge matches both the complete and the design shape and is
     reported as Complete.  A tight graph outside every family triggers a
     warning and comes back TightUnclassified.
     """
     if not spectrum_membership(s):
         return EqualityClass("NotTight")
-    if g.n < 2 or not is_connected(g):
+    if g.n < 2 or not connected:
         return EqualityClass("TightUnclassified")
     if detect_complete(s):
         return EqualityClass("Complete")

@@ -6,7 +6,9 @@ The bit stream is packed big-endian into 6-bit groups and each group is
 offset by 63 into the printable byte range 63..126.  The size field is a
 single byte ``n + 63`` for n <= 62, or ``126`` followed by three bytes
 holding n big-endian in 18 bits for 63 <= n <= 258047.  The optional
-``>>graph6<<`` header is accepted on input and never emitted.
+``>>graph6<<`` header is accepted on input and never emitted.  That column
+order is the strict lower triangle read row by row, so the writer copies the
+bits straight out of a graph's matrix.
 """
 
 from __future__ import annotations
@@ -97,14 +99,24 @@ def check_encodable(n: int) -> None:
 
 
 def write_graph6(g: Graph) -> str:
-    """Encode a graph canonically (no header, minimal size field)."""
+    """Encode a graph canonically (no header, minimal size field).
+
+    The bits are copied out of the matrix row by row; above the dense cap, where there is
+    none, each edge's bit is set at its stream position."""
     check_encodable(n := g.n)
     size = [n] if n <= 62 else [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
-    i, j = g._pairs()
-    k = j * (j - 1) // 2 + i  # stream position of x(i, j)
-    line = np.full(len(size) + (n * (n - 1) // 2 + 5) // 6, 63, np.uint8)
+    ngroups = (n * (n - 1) // 2 + 5) // 6
+    line = np.full(len(size) + ngroups, 63, np.uint8)
     line[: len(size)] += np.array(size, np.uint8)
-    np.add.at(line, len(size) + k // 6, (32 >> k % 6).astype(np.uint8))  # distinct bits: + is |
+    if g.matrix is not None:
+        bits = np.zeros(6 * ngroups, np.uint8)
+        for j in range(1, n):
+            bits[j * (j - 1) // 2 : j * (j + 1) // 2] = g.matrix[j, :j]
+        line[len(size) :] += bits.reshape(-1, 6) @ np.array([32, 16, 8, 4, 2, 1], np.uint8)
+    else:
+        i, j = g._pairs()
+        k = j * (j - 1) // 2 + i  # stream position of x(i, j)
+        np.add.at(line, len(size) + k // 6, (32 >> k % 6).astype(np.uint8))  # distinct bits: + is |
     data = line.tobytes()
     del line  # so the line is held twice at most, as bytes and then as str
     return data.decode("ascii")

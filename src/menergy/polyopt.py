@@ -160,6 +160,17 @@ def simplex_standard_form(
     return x, objective, duals, "optimal"
 
 
+def check_lp_degree(degree: int, least: int = 0, name: str = "degree") -> None:
+    """Refuse (ValueError) a bound degree that is odd or outside least..MAX_LP_DEGREE."""
+    if degree < least or degree % 2 or degree > MAX_LP_DEGREE:
+        raise ValueError(f"{name} must be even in {least}..{MAX_LP_DEGREE}, got {degree}")
+
+
+def check_sweep_degree(max_degree: int) -> None:
+    """A sweep runs every even degree from 2 up to max_degree, so that is at least 2."""
+    check_lp_degree(max_degree, 2, "max degree")
+
+
 @dataclass(frozen=True)
 class LpProblem:
     """One bound problem: the exact even walk counts M0, M2, ..., M_degree, the
@@ -172,8 +183,7 @@ class LpProblem:
     direction: str
 
     def __post_init__(self) -> None:
-        if self.degree < 0 or self.degree % 2 or self.degree > MAX_LP_DEGREE:
-            raise ValueError(f"degree must be even in 0..{MAX_LP_DEGREE}, got {self.degree}")
+        check_lp_degree(self.degree)
         k = self.degree // 2
         if len(self.moments) != k + 1:
             raise ValueError(f"need {k + 1} even moments for degree {self.degree}")
@@ -199,8 +209,7 @@ class LpSolution:
 
 def lp_problem(g: Graph, degree: int, direction: str) -> LpProblem:
     """Assemble the bound problem for one graph from its exact moments."""
-    if degree < 0 or degree % 2 or degree > MAX_LP_DEGREE:
-        raise ValueError(f"degree must be even in 0..{MAX_LP_DEGREE}, got {degree}")
+    check_lp_degree(degree)
     walks = trace_moments(g, degree)
     return LpProblem(degree, tuple(walks[0 : degree + 1 : 2]), _bound_scale(g), direction)
 
@@ -332,8 +341,7 @@ def bound_sweep(g: Graph, max_degree: int) -> tuple[SweepEntry, ...]:
     higher-degree space, when the fresh solve is worse, so the bounds are
     monotone by construction.
     """
-    if max_degree < 2 or max_degree % 2 or max_degree > MAX_LP_DEGREE:
-        raise ValueError(f"max degree must be even in 2..{MAX_LP_DEGREE}, got {max_degree}")
+    check_sweep_degree(max_degree)
     scale = _bound_scale(g)
     walks = trace_moments(g, max_degree)
     entries: list[SweepEntry] = []

@@ -30,43 +30,24 @@ class BoundReport:
 
 
 def analyze_graph(g: Graph) -> BoundReport:
-    """Full analysis of one graph.
-
-    Edgeless graphs short-circuit: energy and bound are both zero and the
-    scaled moments stay unset.
-    """
+    """Full analysis of one graph, whose one connectivity search also serves the classifier.
+    An edgeless graph has energy and bound 0 and no scaled moments, and nothing else runs."""
     summary = moment_summary(g)
     connected = is_connected(g)
     if summary.m == 0:
-        return BoundReport(
-            summary=summary,
-            scaled=None,
-            energy=0.0,
-            quartic_bound=0.0,
-            van_dam_bound=None,
-            tangency=1.0,
-            tangency_clamped=True,
-            tightness=1.0,
-            classification=EqualityClass("TightUnclassified"),
-            connected=connected,
-        )
-    energy_value = eigenvalues(g).energy
-    scaled = scaled_moments(summary)
-    tangency, clamped = optimal_tangency(summary)
-    bound = best_quartic_bound(summary)
-    vd = van_dam_bound(summary) if is_regular(g) is not None else None
-    classification = classify_equality(g, summary)
+        energy = bound = 0.0
+        scaled, vd, tangency, clamped, tightness = None, None, 1.0, True, 1.0
+        classification = EqualityClass("TightUnclassified")
+    else:
+        energy = eigenvalues(g).energy
+        scaled = scaled_moments(summary)
+        tangency, clamped = optimal_tangency(summary)
+        bound = best_quartic_bound(summary)
+        vd = van_dam_bound(summary) if is_regular(g) is not None else None
+        tightness = bound / energy
+        classification = classify_equality(g, summary, connected)
     return BoundReport(
-        summary=summary,
-        scaled=scaled,
-        energy=energy_value,
-        quartic_bound=bound,
-        van_dam_bound=vd,
-        tangency=tangency,
-        tangency_clamped=clamped,
-        tightness=bound / energy_value,
-        classification=classification,
-        connected=connected,
+        summary, scaled, energy, bound, vd, tangency, clamped, tightness, classification, connected
     )
 
 

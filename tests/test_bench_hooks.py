@@ -48,3 +48,15 @@ def test_a_traced_sweep_records_the_spans_the_benchmark_reads(tmp_path):
     assert calls["cli.main"] == 1
     assert calls["report.analyze_graph"] >= 1 and tracer.durations("report.analyze_graph")
     assert calls["polyopt.solve_bound_lp"] == 8
+
+
+def test_a_traced_analysis_searches_and_classifies_once(tmp_path):
+    # The connectivity analyze_graph computes is passed on to classify_equality, so one
+    # graph opens one span of each under the hooks bench/run.py installs.
+    tracer = load_tracer().Tracer()
+    with tracer.installed():
+        argv = ["analyze", "--gen", "petersen", "--out", str(tmp_path / "analyze.csv")]
+        assert menergy.cli.main(argv) == 0
+    calls, _, _, _ = tracer.summary()
+    assert calls["graphs.is_connected"] == 1
+    assert calls["extremal.classify_equality"] == 1

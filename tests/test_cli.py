@@ -285,6 +285,16 @@ def test_sweep_rejects_max_degree_above_lp_cap(capsys):
     assert "degree" in err
 
 
+@pytest.mark.parametrize("bad", [-2, 0, 3, 18])
+def test_sweep_degree_rule_is_the_library_rule(bad, capsys):
+    # One definition in polyopt: the command line prints the error bound_sweep raises.
+    with pytest.raises(ValueError) as info:
+        me.bound_sweep(me.petersen(), bad)
+    argv = ["sweep", "--gen", "petersen", "--max-degree", str(bad)]
+    assert run_cli(argv, capsys) == (1, "", f"{info.value}\n")
+    assert str(info.value) == f"max degree must be even in 2..{me.polyopt.MAX_LP_DEGREE}, got {bad}"
+
+
 def test_sweep_refuses_graph_above_vertex_cap(tmp_path, capsys):
     path = tmp_path / "big.edges"
     path.write_text(f"n {TRACE_MAX_VERTICES + 1}\n0 1\n")

@@ -163,15 +163,49 @@ def test_tight_but_unnamed_warns(monkeypatch):
         monkeypatch.setattr(me.extremal, name, lambda *args: None)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        out = me.classify_equality(g, summary_of(g))
+        out = me.classify_equality(g, summary_of(g), connected=True)
     assert str(out) == "TightUnclassified"
     assert any("tight" in str(w.message).lower() for w in caught)
 
 
 def test_classify_not_tight_short_circuits():
     g = corpus_graph("petersen")
-    out = me.classify_equality(g, summary_of(g))
+    out = me.classify_equality(g, summary_of(g), connected=True)
     assert str(out) == "NotTight"
+
+
+def test_analysis_searches_for_connectivity_once_per_graph(monkeypatch):
+    # classify_equality takes the connectivity analyze_graph holds; heawood and
+    # complete:5 are tight, so they reach the classifier's connectivity test.
+    calls = []
+    for module in (me.report, me.extremal):
+        if hasattr(module, "is_connected"):
+            search = module.is_connected
+            monkeypatch.setattr(module, "is_connected", lambda g, f=search: calls.append(g) or f(g))
+    specs = ("petersen", "heawood", "complete:5")
+    for spec in specs:
+        me.analyze_graph(corpus_graph(spec))
+    assert len(calls) == len(specs)
+
+
+@pytest.mark.parametrize("spec", ["complete:1", "union:complete:1,complete:1"])
+def test_an_edgeless_analysis_runs_no_spectrum_bound_or_classifier(spec, monkeypatch):
+    names = ("eigenvalues", "scaled_moments", "optimal_tangency", "best_quartic_bound",
+             "is_regular", "van_dam_bound", "classify_equality")
+    for name in names:
+        monkeypatch.setattr(me.report, name, lambda *args, name=name: pytest.fail(name))
+    g = corpus_graph(spec)
+    report = me.analyze_graph(g)
+    assert (report.energy, report.quartic_bound, report.tightness) == (0.0, 0.0, 1.0)
+    assert (report.tangency, report.tangency_clamped) == (1.0, True)
+    assert report.scaled is None and report.van_dam_bound is None
+    assert str(report.classification) == "TightUnclassified"
+    assert report.connected == (g.n == 1)
+
+
+def test_a_disconnected_tight_graph_stays_unclassified():
+    g = corpus_graph("complete:5")
+    assert str(me.classify_equality(g, summary_of(g), connected=False)) == "TightUnclassified"
 
 
 def test_k2_is_complete_not_design():
