@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -184,24 +183,39 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def _layers(g: Graph, root: int) -> Iterator[np.ndarray]:
-    """Breadth-first layers of root's component as boolean masks: vertices at distance 0, 1, ...
+def _search(g: Graph, root: int) -> tuple[np.ndarray, list[np.ndarray], int]:
+    """Breadth-first search from root: (seen, layers, size) of root's component.
 
-    Every edge joins two vertices of one layer or of consecutive layers.
+    ``layers`` holds the boolean masks of the vertices at distance 1, 2, ... from root,
+    ``seen`` their union with root, and ``size`` its count.  Each step expands only the
+    newest layer, so a search costs O(n^2) on any graph, long paths too.  Every edge
+    joins two vertices of one layer or of consecutive layers.
     """
-    check_order(g.n)
     adj = g.matrix.view(bool)
-    frontier = seen = np.arange(g.n) == root
-    while np.count_nonzero(frontier):
-        yield frontier
+    frontier = adj[root]
+    seen = frontier.copy()
+    seen[root] = True
+    layers, size = [frontier], np.count_nonzero(seen)
+    while size < g.n:
         frontier = np.logical_or.reduce(adj[frontier]) > seen  # neighbours not seen before
-        seen = seen | frontier
+        if not (count := np.count_nonzero(frontier)):
+            break
+        layers.append(frontier)
+        size += count
+        seen |= frontier
+    return seen, layers, size
 
 
 def is_connected(g: Graph) -> bool:
     """True for graphs with at most one vertex and for connected graphs."""
-    # The running count of reached vertices rises strictly; `in` stops the search at n.
-    return g.n <= 1 or g.n in accumulate(map(np.count_nonzero, _layers(g, 0)))
+    check_order(g.n)
+    if g.n <= 1:
+        return True
+    # A connected graph has no isolated vertex and at least n - 1 edges.
+    degrees = g.degrees()
+    if min(degrees) == 0 or sum(degrees) < 2 * (g.n - 1):
+        return False
+    return bool(_search(g, 0)[2] == g.n)
 
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -211,12 +225,12 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     least vertex of its component, so that vertex goes left; both tuples are ascending.
     The colouring is proper unless an edge joins two vertices of one layer.
     """
+    check_order(g.n)
     right, unseen = np.zeros(g.n, bool), np.ones(g.n, bool)
     while unseen.any():
-        for depth, layer in enumerate(_layers(g, int(unseen.argmax()))):
-            if depth & 1:
-                right |= layer
-            unseen &= ~layer
+        seen, layers, _ = _search(g, int(unseen.argmax()))
+        right |= np.logical_or.reduce(layers[::2])  # odd depths: 1, 3, ...
+        unseen &= ~seen
     adj = g.matrix.view(bool)
     if any(adj[side][:, side].any() for side in (right, ~right)):
         return None

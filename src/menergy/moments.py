@@ -97,8 +97,10 @@ def moment_summary(g: Graph) -> MomentSummary:
     Raises CapExceededError above the dense-kernel vertex cap.
     """
     st = degree_stats(g)
-    traces = trace_moments(g, 6)
-    c = codegree_matrix(g)
+    a = dense_adjacency(g)
+    square = a @ a  # formed once: A^2 for the walk counts, and the codegree matrix
+    traces = trace_moments(g, 6, square)
+    c = square.astype(np.int64)
     c.flags.writeable = False  # shared with the equality detectors through the summary
     q = _quad_count_checked(c, st.zagreb, st.edge_count, traces[4])
     m2 = 2 * st.edge_count

@@ -36,7 +36,7 @@ is exact, and checked, and each float is one correctly rounded int / int.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -197,14 +197,24 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """The exact contraction of an exact polynomial, rounded outward, so always certified,
-    and that polynomial rounded to float.  Every solution is optimal, certified, one round."""
+    """The exact contraction of an exact polynomial, rounded outward, so always certified.
 
-    polynomial: EvenPolynomial
+    Coefficient j of x^2j is numerators[j] / denominator; ``polynomial`` rounds them to
+    float when read.  Every solution is optimal, certified, one round.
+    """
+
     objective: float
+    numerators: tuple[int, ...] = field(repr=False)
+    denominator: int = field(repr=False)
+    scale: float = field(repr=False)
     status: ClassVar[str] = "optimal"
     certified: ClassVar[bool] = True
     rounds: ClassVar[int] = 1
+
+    @property
+    def polynomial(self) -> EvenPolynomial:
+        """The certificate with each coefficient one correctly rounded int / int."""
+        return EvenPolynomial(tuple(c / self.denominator for c in self.numerators), self.scale)
 
 
 def lp_problem(g: Graph, degree: int, direction: str) -> LpProblem:
@@ -323,8 +333,7 @@ def solve_bound_lp(problem: LpProblem) -> LpSolution:
     den = delta * q * sd * sn ** (2 * k)
     numerator = sum(c * int(m) for c, m in zip(nums, problem.moments))
     bound = round_outward(numerator, den, problem.direction == "above")
-    poly = EvenPolynomial(tuple(c / den for c in nums), problem.scale)
-    return LpSolution(poly, bound)
+    return LpSolution(bound, tuple(nums), den, problem.scale)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,15 @@ class Spectrum:
 
     @property
     def energy(self) -> float:
-        """Sum of the absolute eigenvalues, summed in descending eigenvalue order."""
-        return float(sum(abs(v) for v in self.eigenvalues))
+        """Sum of the absolute eigenvalues, added left to right in descending eigenvalue order.
+
+        An explicit loop, not sum(): from Python 3.12 on, sum() of floats compensates
+        its rounding, which would make the printed energy depend on the Python version.
+        """
+        total = 0.0
+        for v in self.eigenvalues:
+            total += abs(v)
+        return total
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:
@@ -83,15 +90,19 @@ def _inner(x: np.ndarray, y: np.ndarray, row_cap: int) -> int:
     return int((_exact(x) * _exact(y)).sum())
 
 
-def trace_moments(g: Graph, max_power: int) -> list[int]:
+def trace_moments(g: Graph, max_power: int, square: np.ndarray | None = None) -> list[int]:
     """Exact Tr(A^k) for k = 0..max_power; equals the closed-walk counts.
 
-    Tr(A^k) = <A^(k//2), A^(k-k//2)>, except Tr(A^4) = <A, A^3>, which keeps the M4
-    cross-check in moment_summary off the codegree matrix A^2.  Powers are float64
-    BLAS products, escalated to Python integers when an entry of the next product
-    could reach 2^53 (entries are walk counts, so every partial sum is bounded by
-    the final entry).  Row i of the sum for Tr(A^k) is (A^k)_ii <= D^k, or a tighter
-    cap read off the two half powers (_inner).
+    Tr(A^k) = <A^(k//2), A^(k-k//2)>, except Tr(A^4) = <A, A^3>: moment_summary checks
+    that walk identity against a second formula, the codegree pair sum.  ``square``, if
+    given, is the float64 product A @ A the caller formed already (moment_summary's
+    codegree matrix); it serves as A^2 here.  Powers are float64 BLAS products,
+    escalated to Python integers when an entry of the next product could reach 2^53
+    (entries are walk counts, so every partial sum is bounded by the final entry).
+    An entry of A^j counts walks, so it is at most D^(j-1) and the next product's
+    entries at most D^j; while D^j < 2^53 that proves the product exact without a
+    scan for the largest entry.  Row i of the sum for Tr(A^k) is (A^k)_ii <= D^k, or
+    a tighter cap read off the two half powers (_inner).
     """
     if max_power < 0:
         raise ValueError(f"power must be non-negative, got {max_power}")
@@ -103,14 +114,14 @@ def trace_moments(g: Graph, max_power: int) -> list[int]:
     base = dense_adjacency(g)
     max_degree = max(g.degrees(), default=0)
     top = max((max_power + 1) // 2, 3 if max_power >= 4 else 1)  # A^3 serves Tr(A^4)
-    powers = [None, base]
-    for _ in range(2, top + 1):
-        power = powers[-1]
-        if power.dtype != object and int(power.max(initial=0)) * max(1, max_degree) >= 2**53:
+    powers = [None, base] if square is None else [None, base, square]
+    cap = max(1, max_degree)
+    for j in range(len(powers) - 1, top):  # powers[j] = A^j; form A^(j+1)
+        power = powers[j]
+        if power.dtype != object and cap**j >= 2**53 and int(power.max(initial=0)) * cap >= 2**53:
             power, base = _exact(power), _exact(base)
         powers.append(power @ base)
     for k in range(2, max_power + 1):
         low = 1 if k == 4 else k // 2
         out.append(_inner(powers[low], powers[k - low], max_degree**k))
     return out
-

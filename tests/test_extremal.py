@@ -231,22 +231,31 @@ def test_classification_total_over_corpus(spec):
     }
 
 
+class _Adjacency(np.ndarray):
+    """A float adjacency matrix that records each matrix product taking it as both factors."""
+
+    squares: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and all(isinstance(x, _Adjacency) for x in inputs):
+            _Adjacency.squares.append(len(self))
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
 @pytest.mark.parametrize(
     "spec,expected",
     [("rook:4", "SrgEqualParams(16,6,2,2)"), ("heawood", "DesignIncidence(7,3,1)"),
      ("projective:7", "DesignIncidence(57,8,1)")],
 )
-def test_analysis_multiplies_the_codegree_matrix_once(spec, expected, monkeypatch):
-    # Tight strongly regular and design graphs reach a detector after the
-    # moment summary; both read the summary's matrix instead of recomputing it.
-    calls = []
-
-    def counted(g):
-        calls.append(g.n)
-        return me.codegree_matrix(g)
-
-    monkeypatch.setattr(me.moments, "codegree_matrix", counted)
+def test_analysis_squares_the_adjacency_once(spec, expected, monkeypatch):
+    # moment_summary forms A @ A once and shares it: the walk counts take it as A^2,
+    # the 4-cycle count and the equality detectors as the codegree matrix.
+    dense = me.spectral.dense_adjacency
+    for module in (me.moments, me.spectral):
+        monkeypatch.setattr(module, "dense_adjacency", lambda g: dense(g).view(_Adjacency))
+    monkeypatch.setattr(_Adjacency, "squares", [])
     report = me.analyze_graph(me.generate_from_string(spec))
     assert str(report.classification) == expected
-    assert len(calls) == 1
+    assert _Adjacency.squares == [report.summary.n]
     assert not report.summary.codegree.flags.writeable
+    assert type(report.summary.codegree) is np.ndarray

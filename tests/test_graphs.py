@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given
@@ -281,6 +282,60 @@ def test_is_connected():
     assert me.is_connected(corpus_graph("petersen"))
     assert me.is_connected(corpus_graph("complete:1"))
     assert not me.is_connected(corpus_graph("union:complete:2,complete:2"))
+
+
+@pytest.mark.parametrize(
+    "spec,connected",
+    [
+        ("path:2048", True),
+        ("cycle:2048", True),
+        ("union:cycle:5,cycle:5", False),  # no isolated vertex and m = n: the search decides
+        ("union:cycle:1024,cycle:1024", False),
+        ("union:path:1024,path:1024", False),  # m = n - 2
+        ("union:complete:4,complete:1", False),  # an isolated vertex
+    ],
+)
+def test_is_connected_on_long_paths_and_unions(spec, connected):
+    assert me.is_connected(me.generate_from_string(spec)) is connected
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_graphs_with_at_most_one_vertex_are_connected(n):
+    assert me.is_connected(me.Graph.from_edges(n, [])) is True
+
+
+@st.composite
+def _random_tree(draw) -> me.Graph:
+    """A random labelled tree on 1-12 vertices: m = n - 1, so only the search decides."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(n)))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    return me.Graph.from_edges(n, [(order[v], order[p]) for v, p in enumerate(parents, start=1)])
+
+
+_connectivity_cases = st.one_of(
+    st.builds(me.random_gnp, st.integers(0, 14), st.floats(0, 1), st.integers(0, 10_000)),
+    _random_tree(),
+    st.builds(
+        me.disjoint_union,
+        st.lists(
+            st.one_of(
+                _random_tree(),
+                st.builds(me.cycle, st.integers(3, 6)),
+                st.builds(me.complete, st.integers(1, 5)),
+            ),
+            max_size=4,
+        ),
+    ),
+)
+
+
+@given(_connectivity_cases)
+def test_property_is_connected_matches_networkx(g):
+    reference = nx.Graph()
+    reference.add_nodes_from(range(g.n))
+    reference.add_edges_from(g.edges())
+    assert me.is_connected(g) is (g.n == 0 or nx.is_connected(reference))
 
 
 def test_bipartition_even_cycle():

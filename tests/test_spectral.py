@@ -6,6 +6,8 @@ from decimal import Decimal
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import menergy as me
 from menergy.report import SOUNDNESS_RTOL
@@ -171,14 +173,31 @@ def power_chain_traces(g, max_power):
         ("gnp:60:0.9:1", 16),
         ("complete:300", 8),
         ("union:complete:29,complete:29", 11),
+        ("star:200", 16),
+        ("complete:200", 16),
     ],
 )
 def test_trace_moments_match_the_power_chain(spec, k):
     # Together these sum in every tier: float64, int64 rows and Python integers.
     # In 2 K29 at k = 11 each row sum is below 2^53 but the trace is not, where
-    # a float64 sum is off by 4.
+    # a float64 sum is off by 4.  With D = 200 and 199, D^7 passes 2^53, so forming
+    # A^8 scans A^7: star:200 stays in float64 and complete:200 escalates.
     g = me.generate_from_string(spec)
     assert me.trace_moments(g, k) == power_chain_traces(g, k)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 30), st.floats(0, 1), st.integers(0, 10_000))
+def test_property_trace_moments_match_the_power_chain(n, p, seed):
+    g = me.random_gnp(n, p, seed)
+    assert me.trace_moments(g, TRACE_MAX_POWER) == power_chain_traces(g, TRACE_MAX_POWER)
+
+
+def test_a_shared_square_gives_the_same_walk_counts():
+    g = me.generate_from_string("gnp:40:0.6:3")
+    a = g.matrix.astype(np.float64)
+    for k in range(TRACE_MAX_POWER + 1):
+        assert me.trace_moments(g, k, a @ a) == me.trace_moments(g, k) == power_chain_traces(g, k)
 
 
 def test_trace_moments_exact_on_escalated_powers():
@@ -187,6 +206,11 @@ def test_trace_moments_exact_on_escalated_powers():
     g = me.complete(200)
     got = me.trace_moments(g, 16)
     assert all(got[k] == 199**k + 199 * (-1) ** k for k in range(1, 17))
+
+
+def test_energy_adds_left_to_right_on_every_python_version():
+    # Python 3.12's sum() compensates its rounding and would give 1e16 + 2.
+    assert me.Spectrum((1e16, 1.0, 1.0), 0.0).energy == 1e16
 
 
 def test_spectrum_tuple_immutable():
