@@ -66,9 +66,10 @@ class Graph:
     def _from_pairs(n: int, i: np.ndarray, j: np.ndarray, label: str = "") -> "Graph":
         """The graph with edges {i[k], j[k]}, given as valid index arrays: the one constructor."""
         if n <= TRACE_MAX_VERTICES:
-            matrix, ends = np.zeros((n, n), np.uint8), None
-            matrix[i, j] = matrix[j, i] = 1
-            matrix.flags.writeable = False
+            flat, ends = np.zeros(n * n, np.uint8), None
+            flat[i * n + j] = flat[j * n + i] = 1  # flat indices: cheaper than 2-D fancy indexing
+            flat.flags.writeable = False
+            matrix = flat.reshape(n, n)
             degrees = matrix.sum(axis=1)
         else:  # each edge once as (low, high), sorted: the unique codes low n + high, read back
             codes = np.unique(np.minimum(i, j) * np.int64(n) + np.maximum(i, j))

@@ -46,17 +46,19 @@ def codegree_matrix(g: Graph) -> np.ndarray:
     """A @ A as int64: off-diagonal entries count common neighbours, the
     diagonal holds the degrees.
 
-    Computed in float64 BLAS, which is exact because every entry is at most n.
+    Computed in float32 BLAS, which is exact because every term and partial sum is an
+    integer no larger than its entry, at most n < 2^24.
     """
-    a = dense_adjacency(g)
+    a = dense_adjacency(g, np.float32)
     return (a @ a).astype(np.int64)
 
 
 def _quad_count_checked(c: np.ndarray, zagreb: int, m: int, t4: int) -> int:
-    # Sum over unordered pairs of C(c, 2): c*(c-1) is twice C(c, 2), and the
-    # ordered pairs off the diagonal visit each unordered pair twice.
-    twice = c * (c - 1)
-    pair_sum = int(twice.sum() - twice.trace()) // 4
+    # Sum over unordered pairs of C(c, 2).  Over the ordered pairs off the diagonal
+    # c(c - 1) sums to sum c^2 - sum c - (zagreb - 2m), since the diagonal holds the
+    # degrees; that is twice C(c, 2), and each unordered pair is visited twice.
+    flat = c.reshape(-1)
+    pair_sum = (int(np.dot(flat, flat)) - int(flat.sum()) - zagreb + 2 * m) // 4
     if pair_sum % 2:
         raise MomentMismatchError("common-neighbour pair sum must be even")
     q = pair_sum // 2
@@ -97,7 +99,7 @@ def moment_summary(g: Graph) -> MomentSummary:
     Raises CapExceededError above the dense-kernel vertex cap.
     """
     st = degree_stats(g)
-    a = dense_adjacency(g)
+    a = dense_adjacency(g, np.float32)  # exact: entries of A @ A are at most n < 2^24
     square = a @ a  # formed once: A^2 for the walk counts, and the codegree matrix
     traces = trace_moments(g, 6, square)
     c = square.astype(np.int64)

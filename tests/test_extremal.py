@@ -232,13 +232,14 @@ def test_classification_total_over_corpus(spec):
 
 
 class _Adjacency(np.ndarray):
-    """A float adjacency matrix that records each matrix product taking it as both factors."""
+    """An adjacency matrix that records the order and dtype of each matrix product
+    taking it as both factors."""
 
     squares: list = []
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul and all(isinstance(x, _Adjacency) for x in inputs):
-            _Adjacency.squares.append(len(self))
+            _Adjacency.squares.append((len(self), self.dtype))
         return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
 
 
@@ -248,14 +249,17 @@ class _Adjacency(np.ndarray):
      ("projective:7", "DesignIncidence(57,8,1)")],
 )
 def test_analysis_squares_the_adjacency_once(spec, expected, monkeypatch):
-    # moment_summary forms A @ A once and shares it: the walk counts take it as A^2,
-    # the 4-cycle count and the equality detectors as the codegree matrix.
+    # moment_summary forms A @ A once, in single precision, and shares it: the walk
+    # counts take it as A^2, the 4-cycle count and the equality detectors as the
+    # codegree matrix.
     dense = me.spectral.dense_adjacency
     for module in (me.moments, me.spectral):
-        monkeypatch.setattr(module, "dense_adjacency", lambda g: dense(g).view(_Adjacency))
+        monkeypatch.setattr(
+            module, "dense_adjacency", lambda g, *dtype: dense(g, *dtype).view(_Adjacency)
+        )
     monkeypatch.setattr(_Adjacency, "squares", [])
     report = me.analyze_graph(me.generate_from_string(spec))
     assert str(report.classification) == expected
-    assert _Adjacency.squares == [report.summary.n]
+    assert _Adjacency.squares == [(report.summary.n, np.float32)]
     assert not report.summary.codegree.flags.writeable
     assert type(report.summary.codegree) is np.ndarray

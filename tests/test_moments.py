@@ -101,6 +101,19 @@ def test_scaled_moments_rejects_an_ordering_broken_by_one():
         me.scaled_moments(dataclasses.replace(s, m4=0, m2=n * d * d + 1))
 
 
+@pytest.mark.parametrize(
+    "shift,message", [(8, "4-cycle counts disagree: walk route 61, codegree route 60"),
+                      (1, "not divisible by 8")],
+)
+def test_moment_summary_rejects_a_walk_count_the_codegrees_contradict(shift, message, monkeypatch):
+    # rook:4 has 60 quadrilaterals; a Tr(A^4) off by 8 claims one more.
+    real = me.moments.trace_moments
+    shifted = lambda g, k, square: [t + shift * (j == 4) for j, t in enumerate(real(g, k, square))]
+    monkeypatch.setattr(me.moments, "trace_moments", shifted)
+    with pytest.raises(MomentMismatchError, match=message):
+        me.moment_summary(corpus_graph("rook:4"))
+
+
 def test_scaled_moments_needs_edges():
     with pytest.raises(NoEdgesError):
         me.scaled_moments(summary_of(corpus_graph("path:1")))

@@ -141,12 +141,39 @@ def test_trace_moment_caps():
 
 
 def test_trace_moments_exact_at_overflow_scale():
-    # K_50 at power 16 overflows int64 (about 49^16 ~ 1e27); the exact
-    # integer escalation must keep the closed-form value (n-1)^k + (n-1)(-1)^k.
+    # K_50 at power 16 overflows int64 (about 49^16 ~ 1e27); the residues and
+    # their CRT must keep the closed-form value (n-1)^k + (n-1)(-1)^k.
     g = me.complete(50)
     got = me.trace_moments(g, 16)
     for k in range(17):
         assert got[k] == 49**k + 49 * (-1) ** k if k else g.n
+
+
+def test_the_primes_serve_every_graph_under_the_caps():
+    primes = me.spectral._PRIMES
+    assert all(p > 2 and all(p % d for d in range(2, math.isqrt(p) + 1)) for p in primes)
+    # A row of products of two residues sums exactly in float64 ...
+    assert TRACE_MAX_VERTICES * (max(primes) - 1) ** 2 < 2**53
+    # ... and together the residues pin down n D^k, which bounds every Tr(A^k).
+    assert math.prod(primes) > TRACE_MAX_VERTICES * (TRACE_MAX_VERTICES - 1) ** TRACE_MAX_POWER
+
+
+@pytest.mark.parametrize(
+    "spec,closed_form",
+    [
+        ("star:256", lambda k: 2 * 16**k * (k % 2 == 0)),  # eigenvalues +-16 and 0
+        ("complete:256", lambda k: 255**k + 255 * (-1) ** k),
+        ("complete:257", lambda k: 256**k + 256 * (-1) ** k),
+        ("bipartite:257:257", lambda k: 2 * 257**k * (k % 2 == 0)),  # eigenvalues +-257
+    ],
+)
+def test_walk_counts_where_a4_leaves_single_precision(spec, closed_form):
+    # A^(j+1) is a float32 product while D^j < 2^24.  With D = 256, D^3 = 2^24, so A^4
+    # is the first float64 product; K_256 (D = 255) forms A^4 in float32 with entries
+    # just below 2^24.  K_257,257 reaches the bound: its A^4 holds 257^3, an odd number
+    # above 2^24 that float32 cannot represent.
+    g = me.generate_from_string(spec)
+    assert me.trace_moments(g, 8) == [g.n] + [closed_form(k) for k in range(1, 9)]
 
 
 def power_chain_traces(g, max_power):
@@ -178,10 +205,10 @@ def power_chain_traces(g, max_power):
     ],
 )
 def test_trace_moments_match_the_power_chain(spec, k):
-    # Together these sum in every tier: float64, int64 rows and Python integers.
+    # Together these sum in every tier: float64, int64 rows and residues with CRT.
     # In 2 K29 at k = 11 each row sum is below 2^53 but the trace is not, where
     # a float64 sum is off by 4.  With D = 200 and 199, D^7 passes 2^53, so forming
-    # A^8 scans A^7: star:200 stays in float64 and complete:200 escalates.
+    # A^8 scans A^7: star:200 stays in float64 and complete:200 goes to residues.
     g = me.generate_from_string(spec)
     assert me.trace_moments(g, k) == power_chain_traces(g, k)
 
@@ -195,17 +222,30 @@ def test_property_trace_moments_match_the_power_chain(n, p, seed):
 
 def test_a_shared_square_gives_the_same_walk_counts():
     g = me.generate_from_string("gnp:40:0.6:3")
-    a = g.matrix.astype(np.float64)
+    a, single = g.matrix.astype(np.float64), g.matrix.astype(np.float32)
     for k in range(TRACE_MAX_POWER + 1):
-        assert me.trace_moments(g, k, a @ a) == me.trace_moments(g, k) == power_chain_traces(g, k)
+        expected = power_chain_traces(g, k)
+        assert me.trace_moments(g, k, a @ a) == me.trace_moments(g, k) == expected
+        assert me.trace_moments(g, k, single @ single) == expected
 
 
-def test_trace_moments_exact_on_escalated_powers():
+def test_trace_moments_exact_on_escalated_powers(monkeypatch):
     # K_200 is about the smallest graph whose half powers reach 2^53: A^8 is
-    # computed in Python integers, and must keep the closed form.
-    g = me.complete(200)
-    got = me.trace_moments(g, 16)
-    assert all(got[k] == 199**k + 199 * (-1) ** k for k in range(1, 17))
+    # formed modulo primes, and its traces must keep the closed form.
+    calls = []
+    real = me.spectral._modular_traces
+    monkeypatch.setattr(me.spectral, "_modular_traces", lambda *a: calls.append(a[1]) or real(*a))
+    for n in (200, 300):
+        got = me.trace_moments(me.complete(n), 16)
+        assert all(got[k] == (n - 1) ** k + (n - 1) * (-1) ** k for k in range(1, 17))
+        assert (8, 8) in calls.pop()
+
+
+@pytest.mark.slow
+def test_trace_moments_of_a_dense_bipartite_graph_on_residues():
+    # K_300,300 has eigenvalues +-300 and 0: Tr(A^k) = 2 (300^2)^(k/2) for even k.
+    got = me.trace_moments(me.generate_from_string("bipartite:300:300"), 16)
+    assert got == [600] + [2 * (300**2) ** (k // 2) if k % 2 == 0 else 0 for k in range(1, 17)]
 
 
 def test_energy_adds_left_to_right_on_every_python_version():
