@@ -50,7 +50,6 @@ from .moments import (
     MomentSummary,
     NoEdgesError,
     ScaledMoments,
-    codegree_matrix,
     degree_stats,
     moment_summary,
     scaled_moments,

@@ -11,10 +11,11 @@ Output ordering and float formatting (12 significant digits) are fixed, so
 identical input produces byte-identical CSV.
 
 Exit codes: 0 on success, 1 on unreadable or oversized input (diagnostics name
-the line or file), an unwritable --out (opened before any work, and left
-as it was when the run fails) or an output pipe closed by its reader (quietly,
-with nothing on stderr), 2 when --fail-on-violation is set and a bound
-crosses the exact energy by more than the soundness slack.
+the line or file), an unwritable --out (opened before any work; a failed run
+leaves an existing file whole and removes one it created) or an output pipe
+closed by its reader (quietly, with nothing on stderr), 2 when
+--fail-on-violation is set and a bound crosses the exact energy by more than
+the soundness slack.
 """
 
 from __future__ import annotations
@@ -85,7 +86,24 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
+def _read_input(path: str) -> str:
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as err:
+        raise InputError(f"cannot read {path}: {err}") from err
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as err:
+        # Number lines the way the parsers do: they end at "\n" only.
+        lineno = data.count(b"\n", 0, err.start) + 1
+        raise InputError(
+            f"{path}: line {lineno}: non-ASCII byte 0x{data[err.start]:02x}"
+        ) from None
+
+
+def _input_graphs(args: argparse.Namespace, text: str | None) -> Iterator[tuple[str, Graph]]:
+    """Each input graph and its label, built when reached, from the --gen spec or the --in text."""
     if args.gen is not None:
         try:
             spec = parse_family_spec(args.gen)
@@ -97,26 +115,13 @@ def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
             raise InputError(f"{spec}: {err}") from err
         yield g.label, g
         return
-    try:
-        with open(args.infile, "rb") as handle:
-            data = handle.read()
-    except OSError as err:
-        raise InputError(f"cannot read {args.infile}: {err}") from err
-    try:
-        content = data.decode("ascii")
-    except UnicodeDecodeError as err:
-        # Number lines the way the parsers do: they end at "\n" only.
-        lineno = data.count(b"\n", 0, err.start) + 1
-        raise InputError(
-            f"{args.infile}: line {lineno}: non-ASCII byte 0x{data[err.start]:02x}"
-        ) from None
     if args.in_format == "edgelist":
         try:
-            yield args.infile, parse_edge_list(content)
+            yield args.infile, parse_edge_list(text)
         except GraphError as err:
             raise InputError(f"{args.infile}: {err}") from err
         return
-    for lineno, line in enumerate(content.split("\n"), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip(WHITESPACE):
             continue
         try:  # the size field gives n before n^2 / 2 bits are decoded
@@ -127,7 +132,7 @@ def _input_graphs(args: argparse.Namespace) -> Iterator[tuple[str, Graph]]:
 
 
 def _rewind(sink: TextIO) -> None:
-    """Empty an --out file, which is opened for appending so that it survives failed runs.
+    """Empty an --out file; an existing one is opened for appending, so failed runs leave it whole.
 
     Appending opens at the end, so a new or empty file, /dev/null (which reads 0) and a
     pipe (not seekable) are left alone; stdout, maybe a file written to before, always is.
@@ -200,6 +205,7 @@ def _sweep_rows(max_degree: int, index: int, label: str, g: Graph) -> list[tuple
 
 def _run_batch(
     args: argparse.Namespace,
+    text: str | None,
     sink: TextIO,
     graph_rows: Callable[[int, str, Graph], list[tuple[dict, bool]]],
     columns: tuple[str, ...],
@@ -209,7 +215,7 @@ def _run_batch(
     rows = []
     violations = 0
     try:
-        for index, (label, g) in enumerate(_input_graphs(args)):
+        for index, (label, g) in enumerate(_input_graphs(args, text)):
             for row, sound in graph_rows(index, label, g):
                 rows.append(row)
                 violations += not sound
@@ -274,35 +280,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _open_out(path: str) -> tuple[TextIO, bool]:
+    """--out for writing, and True if this call created it: a new path is made exclusively."""
+    try:
+        return open(path, "x", encoding="utf-8", newline=""), True
+    except FileExistsError:  # appending leaves an existing file whole until the output is ready
+        return open(path, "a", encoding="utf-8", newline=""), False
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "sweep":
-        try:
-            check_sweep_degree(args.max_degree)
-        except ValueError as err:
-            print(err, file=sys.stderr)
-            return 1
-    # Open --out before any work, so an unwritable path costs no computation.
-    # Appending leaves an existing file whole until the output is ready, which
-    # also keeps --out FILE readable as --in FILE.
     try:
-        sink = open(args.out, "a", encoding="utf-8", newline="") if args.out else None
+        if args.command == "sweep":
+            check_sweep_degree(args.max_degree)
+        # Read --in before --out is opened, which could create that very path.
+        reads = args.command != "generate" and args.gen is None
+        text = _read_input(args.infile) if reads else None
+    except (ValueError, InputError) as err:
+        print(err, file=sys.stderr)
+        return 1
+    # Open --out before any work, so an unwritable path costs no computation.
+    try:
+        sink, created = _open_out(args.out) if args.out else (None, False)
     except OSError as err:
         print(f"cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
         return 1
+    code = 1
     try:
         with sink or nullcontext(sys.stdout) as handle:
             if args.command == "generate":
                 code = cmd_generate(args, handle)
             elif args.command == "analyze":
-                code = _run_batch(args, handle, _analyze_rows, ANALYZE_COLUMNS, "soundness")
+                code = _run_batch(args, text, handle, _analyze_rows, ANALYZE_COLUMNS, "soundness")
             else:
                 rows = partial(_sweep_rows, args.max_degree)
-                code = _run_batch(args, handle, rows, SWEEP_COLUMNS, "bound")
+                code = _run_batch(args, text, handle, rows, SWEEP_COLUMNS, "bound")
             handle.flush()
     except BrokenPipeError:  # the reader has gone: Python's documented SIGPIPE recipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        if created and code == 1:  # exit 1 writes nothing, so leave no file behind
+            os.remove(args.out)
     return code
 
 

@@ -92,14 +92,10 @@ def complete_bipartite(p: int, q: int) -> Graph:
 
 def petersen() -> Graph:
     """Kneser graph on the 2-subsets of a 5-set; disjoint pairs are adjacent."""
-    pairs = list(combinations(range(5), 2))
-    index = {pair: i for i, pair in enumerate(pairs)}
-    edges = [
-        (index[a], index[b])
-        for a, b in combinations(pairs, 2)
-        if not set(a) & set(b)
-    ]
-    return Graph.from_edges(10, edges, label="petersen")
+    s = np.array(list(combinations(range(5), 2)))  # vertex k is the subset s[k]
+    a, b = np.triu_indices(10, 1)
+    keep = (s[a, :, None] != s[b, None, :]).all(axis=(1, 2))
+    return Graph._from_pairs(10, a[keep], b[keep], label="petersen")
 
 
 def rook(s: int) -> Graph:
@@ -172,19 +168,19 @@ def disjoint_union(graphs: list[Graph], label: str = "") -> Graph:
     return Graph._from_pairs(offset, *np.concatenate(blocks, axis=1), label)
 
 
-# kind -> (builder, number of parameters, vertex count from the parameters);
+# kind -> (builder, parameter types, vertex count from the parameters);
 # union is handled by the grammar itself.
 _FAMILIES = {
-    "complete": (complete, 1, lambda n: n),
-    "cycle": (cycle, 1, lambda n: n),
-    "path": (path, 1, lambda n: n),
-    "star": (star, 1, lambda k: k + 1),
-    "bipartite": (complete_bipartite, 2, lambda p, q: p + q),
-    "petersen": (petersen, 0, lambda: 10),
-    "heawood": (heawood, 0, lambda: 14),
-    "rook": (rook, 1, lambda s: s * s),
-    "projective": (projective_plane_incidence, 1, lambda q: 2 * (q * q + q + 1)),
-    "gnp": (random_gnp, 3, lambda n, p, seed: n),
+    "complete": (complete, (int,), lambda n: n),
+    "cycle": (cycle, (int,), lambda n: n),
+    "path": (path, (int,), lambda n: n),
+    "star": (star, (int,), lambda k: k + 1),
+    "bipartite": (complete_bipartite, (int, int), lambda p, q: p + q),
+    "petersen": (petersen, (), lambda: 10),
+    "heawood": (heawood, (), lambda: 14),
+    "rook": (rook, (int,), lambda s: s * s),
+    "projective": (projective_plane_incidence, (int,), lambda q: 2 * (q * q + q + 1)),
+    "gnp": (random_gnp, (int, float, int), lambda n, p, seed: n),
 }
 
 
@@ -210,20 +206,14 @@ def parse_family_spec(text: str) -> FamilySpec:
                 raise FamilyError("nested unions are not expressible in the flat grammar")
             parts.append(member)
         return FamilySpec("union", (), tuple(parts))
-    fields = t.split(":")
-    kind = fields[0]
-    args = fields[1:]
-    arity = _family(kind)[1]
-    if len(args) != arity:
-        raise FamilyError(f"{kind} takes {arity} parameter(s), got {len(args)}")
+    kind, *args = t.split(":")
+    types = _family(kind)[1]
+    if len(args) != len(types):
+        raise FamilyError(f"{kind} takes {len(types)} parameter(s), got {len(args)}")
     try:
-        if kind == "gnp":
-            params: tuple = (int(args[0]), float(args[1]), int(args[2]))
-        else:
-            params = tuple(int(a) for a in args)
+        return FamilySpec(kind, tuple(read(a) for read, a in zip(types, args)))
     except ValueError:
         raise FamilyError(f"non-numeric parameter in {t!r}") from None
-    return FamilySpec(kind, params)
 
 
 def generate(spec: FamilySpec) -> Graph:

@@ -181,7 +181,7 @@ def parse_edge_list(text: str) -> Graph:
         if i == j:
             raise GraphError(f"line {lineno}: edge ({i}, {j}): self loop")
         edges.append((i, j))
-    return Graph.from_edges(n, edges)
+    return Graph._from_pairs(n, *np.array(edges, np.int64).reshape(-1, 2).T)
 
 
 def _search(g: Graph, root: int) -> tuple[np.ndarray, list[np.ndarray], int]:

@@ -42,17 +42,6 @@ def degree_stats(g: Graph) -> DegreeStats:
     )
 
 
-def codegree_matrix(g: Graph) -> np.ndarray:
-    """A @ A as int64: off-diagonal entries count common neighbours, the
-    diagonal holds the degrees.
-
-    Computed in float32 BLAS, which is exact because every term and partial sum is an
-    integer no larger than its entry, at most n < 2^24.
-    """
-    a = dense_adjacency(g, np.float32)
-    return (a @ a).astype(np.int64)
-
-
 def _quad_count_checked(c: np.ndarray, zagreb: int, m: int, t4: int) -> int:
     # Sum over unordered pairs of C(c, 2).  Over the ordered pairs off the diagonal
     # c(c - 1) sums to sum c^2 - sum c - (zagreb - 2m), since the diagonal holds the
@@ -74,7 +63,7 @@ def _quad_count_checked(c: np.ndarray, zagreb: int, m: int, t4: int) -> int:
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """Exact integer moment data for one graph, with the codegree matrix it was counted from."""
+    """Exact integer moments of a graph and its codegree matrix A @ A (degrees on the diagonal)."""
 
     n: int
     m: int

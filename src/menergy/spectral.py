@@ -51,7 +51,7 @@ def dense_adjacency(g: Graph, dtype: type = np.float64) -> np.ndarray:
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     """Dense 0/1 adjacency matrix with int64 entries, refused above the vertex cap."""
-    return dense_adjacency(g).astype(np.int64)
+    return dense_adjacency(g, np.int64)
 
 
 def eigenvalues(g: Graph) -> Spectrum:

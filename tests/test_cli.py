@@ -456,7 +456,7 @@ def _must_not_build(*args, **kwargs):
 def test_generated_spec_above_vertex_cap_is_refused_before_building(
     command, spec, n, monkeypatch, capsys
 ):
-    monkeypatch.setattr(Graph, "from_edges", staticmethod(_must_not_build))
+    monkeypatch.setattr(Graph, "_from_pairs", staticmethod(_must_not_build))
     code, out, err = run_cli(COMMANDS[command] + ["--gen", spec], capsys)
     assert code == 1
     assert out == ""
@@ -464,7 +464,7 @@ def test_generated_spec_above_vertex_cap_is_refused_before_building(
 
 
 def test_generate_refuses_spec_above_graph6_size_field_before_building(monkeypatch, capsys):
-    monkeypatch.setattr(Graph, "from_edges", staticmethod(_must_not_build))
+    monkeypatch.setattr(Graph, "_from_pairs", staticmethod(_must_not_build))
     code, out, err = run_cli(["generate", f"cycle:{MAX_VERTICES + 1}", "petersen"], capsys)
     assert code == 1
     assert out == ""
@@ -474,7 +474,6 @@ def test_generate_refuses_spec_above_graph6_size_field_before_building(monkeypat
 LIBRARY_ABOVE_CAP = {
     "eigenvalues": me.eigenvalues,
     "trace_moments": lambda g: me.trace_moments(g, 4),
-    "codegree_matrix": me.codegree_matrix,
     "moment_summary": me.moment_summary,
     "analyze_graph": me.analyze_graph,
     "bound_sweep": lambda g: me.bound_sweep(g, 4),
@@ -490,11 +489,11 @@ def test_every_vertex_cap_entry_point_raises_the_one_cap_error(entry, tmp_path, 
         if entry == "cli-graph6":
             path = tmp_path / "big.g6"
             path.write_text("~" + "".join(chr(63 + ((n >> s) & 63)) for s in (12, 6, 0)) + "\n")
-            argv, where = ["analyze", "--in", str(path)], "line 1"
+            argv, where, content = ["analyze", "--in", str(path)], "line 1", path.read_text()
         else:
-            argv, where = ["analyze", "--gen", f"cycle:{n}"], f"cycle:{n}"
+            argv, where, content = ["analyze", "--gen", f"cycle:{n}"], f"cycle:{n}", None
         with pytest.raises(cli.InputError) as info:
-            next(cli._input_graphs(cli.build_parser().parse_args(argv)))
+            next(cli._input_graphs(cli.build_parser().parse_args(argv), content))
         err = info.value.__cause__
         assert run_cli(argv, capsys) == (1, "", f"{where}: {err}\n")
     else:
@@ -643,6 +642,41 @@ def test_failed_run_leaves_existing_out_whole(argv, tmp_path, capsys):
     code, out, err = run_cli(argv + ["--out", str(path)], capsys)
     assert code == 1 and out == "" and err
     assert path.read_text() == "earlier results\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["analyze", "--gen", "nosuch:3"], id="analyze-bad-spec"),
+        pytest.param(["sweep", "--in", "EDGELESS-SECOND", "--max-degree", "4"], id="sweep-edgeless"),
+        pytest.param(["generate", "petersen", "nosuch:3"], id="generate-bad-spec"),
+    ],
+)
+def test_failed_run_leaves_no_out_file_it_created(argv, tmp_path, capsys):
+    source = tmp_path / "two.g6"
+    source.write_text(me.write_graph6(me.petersen()) + "\n" + me.write_graph6(me.complete(1)) + "\n")
+    argv = [str(source) if a == "EDGELESS-SECOND" else a for a in argv]
+    path = tmp_path / "fresh.csv"
+    code, out, err = run_cli(argv + ["--out", str(path)], capsys)
+    assert code == 1 and out == "" and err
+    assert not path.exists()
+
+
+def test_failed_run_keeps_an_empty_out_that_existed(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.touch()
+    code, out, err = run_cli(["analyze", "--gen", "nosuch:3", "--out", str(path)], capsys)
+    assert code == 1 and out == "" and err
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_naming_a_missing_input_reports_the_read_error(command, tmp_path, capsys):
+    ghost = tmp_path / "ghost.g6"
+    code, out, err = run_cli(COMMANDS[command] + ["--in", str(ghost), "--out", str(ghost)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"cannot read {ghost}: ")
+    assert not ghost.exists()
 
 
 def test_out_may_name_the_input_file(tmp_path, capsys):
