@@ -73,7 +73,7 @@ SWEEP_COLUMNS = (
 
 
 class InputError(Exception):
-    """Unreadable command input; the message is the user-facing diagnostic."""
+    """Bad command input or an unwritable --out; the message is the user-facing diagnostic."""
 
 
 def _fmt(value) -> str:
@@ -209,9 +209,8 @@ def _run_batch(
     sink: TextIO,
     graph_rows: Callable[[int, str, Graph], list[tuple[dict, bool]]],
     columns: tuple[str, ...],
-    noun: str,
 ) -> int:
-    """Emit the rows of every input graph or none; each unsound row is a violation."""
+    """Emit the rows of every input graph or none; return the number of unsound rows."""
     rows = []
     violations = 0
     try:
@@ -219,20 +218,13 @@ def _run_batch(
             for row, sound in graph_rows(index, label, g):
                 rows.append(row)
                 violations += not sound
-    except InputError as err:
-        print(str(err), file=sys.stderr)
-        return 1
     except (MomentMismatchError, NoEdgesError, CapExceededError) as err:
-        print(f"{label}: {err}", file=sys.stderr)
-        return 1
+        raise InputError(f"{label}: {err}") from err
     _emit(rows, columns, args.format, sink)
-    if args.fail_on_violation and violations:
-        print(f"{violations} {noun} violation(s)", file=sys.stderr)
-        return 2
-    return 0
+    return violations
 
 
-def cmd_generate(args: argparse.Namespace, sink: TextIO) -> int:
+def cmd_generate(args: argparse.Namespace, sink: TextIO) -> None:
     lines = []
     try:
         for spec_text in args.spec:
@@ -240,11 +232,9 @@ def cmd_generate(args: argparse.Namespace, sink: TextIO) -> int:
             check_encodable(spec.order)  # before building the graph
             lines.append(write_graph6(generate(spec)))
     except (FamilyError, Graph6Error) as err:
-        print(str(err), file=sys.stderr)
-        return 1
+        raise InputError(str(err)) from err
     _rewind(sink)
     sink.write("".join(line + "\n" for line in lines))
-    return 0
 
 
 @cache  # one parser per process: built by the first main() call, shared by later ones
@@ -283,45 +273,49 @@ def build_parser() -> argparse.ArgumentParser:
 def _open_out(path: str) -> tuple[TextIO, bool]:
     """--out for writing, and True if this call created it: a new path is made exclusively."""
     try:
-        return open(path, "x", encoding="utf-8", newline=""), True
-    except FileExistsError:  # appending leaves an existing file whole until the output is ready
-        return open(path, "a", encoding="utf-8", newline=""), False
+        try:
+            return open(path, "x", encoding="utf-8", newline=""), True
+        except FileExistsError:  # appending leaves an existing file whole until the output is ready
+            return open(path, "a", encoding="utf-8", newline=""), False
+    except OSError as err:
+        raise InputError(f"cannot write {path}: {err.strerror or err}") from err
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; the one place that prints a failure and picks the exit code."""
     args = build_parser().parse_args(argv)
+    code, created, violations = 1, False, 0
     try:
         if args.command == "sweep":
-            check_sweep_degree(args.max_degree)
+            try:
+                check_sweep_degree(args.max_degree)
+            except ValueError as err:  # bad input here; elsewhere a ValueError is a fault
+                raise InputError(str(err)) from err
         # Read --in before --out is opened, which could create that very path.
         reads = args.command != "generate" and args.gen is None
         text = _read_input(args.infile) if reads else None
-    except (ValueError, InputError) as err:
-        print(err, file=sys.stderr)
-        return 1
-    # Open --out before any work, so an unwritable path costs no computation.
-    try:
+        # Open --out before any work, so an unwritable path costs no computation.
         sink, created = _open_out(args.out) if args.out else (None, False)
-    except OSError as err:
-        print(f"cannot write {args.out}: {err.strerror or err}", file=sys.stderr)
-        return 1
-    code = 1
-    try:
         with sink or nullcontext(sys.stdout) as handle:
             if args.command == "generate":
-                code = cmd_generate(args, handle)
+                cmd_generate(args, handle)
             elif args.command == "analyze":
-                code = _run_batch(args, text, handle, _analyze_rows, ANALYZE_COLUMNS, "soundness")
+                violations = _run_batch(args, text, handle, _analyze_rows, ANALYZE_COLUMNS)
             else:
                 rows = partial(_sweep_rows, args.max_degree)
-                code = _run_batch(args, text, handle, rows, SWEEP_COLUMNS, "bound")
+                violations = _run_batch(args, text, handle, rows, SWEEP_COLUMNS)
             handle.flush()
+        code = 2 if violations and args.fail_on_violation else 0
+    except InputError as err:
+        print(err, file=sys.stderr)
     except BrokenPipeError:  # the reader has gone: Python's documented SIGPIPE recipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
     finally:
         if created and code == 1:  # exit 1 writes nothing, so leave no file behind
             os.remove(args.out)
+    if code == 2:
+        noun = "soundness" if args.command == "analyze" else "bound"
+        print(f"{violations} {noun} violation(s)", file=sys.stderr)
     return code
 
 

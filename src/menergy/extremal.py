@@ -85,9 +85,7 @@ def detect_design_incidence(g: Graph, s: MomentSummary) -> tuple[int, int, int] 
     """
     if s.max_degree < 1 or s.n * s.max_degree != 2 * s.m or (parts := bipartition(g)) is None:
         return None
-    left, right = parts
-    if len(left) != len(right):
-        return None
+    left, right = parts  # nD = 2m and every edge crosses, so each part holds m / D vertices
     side = np.zeros(s.n, dtype=bool)
     side[list(right)] = True
     same_part = side[:, None] == side[None, :]

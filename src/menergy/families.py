@@ -102,9 +102,11 @@ def rook(s: int) -> Graph:
     """s x s rook's graph: board squares, adjacent iff same row or column."""
     if s < 2:
         raise FamilyError(f"rook graph needs board size >= 2, got {s}")
-    a, b = np.triu_indices(s * s, 1)
-    keep = (a // s == b // s) | (a % s == b % s)
-    return Graph._from_pairs(s * s, a[keep], b[keep], label=f"rook:{s}")
+    a, b = np.triu_indices(s, 1)  # the pairs of places on one line
+    line = np.arange(s)[:, None]
+    # Square r s + c: row r joins r s + a to r s + b, column c joins a s + c to b s + c.
+    i, j = (np.concatenate([line * s + p, p * s + line]).ravel() for p in (a, b))
+    return Graph._from_pairs(s * s, i, j, label=f"rook:{s}")
 
 
 def _is_prime(q: int) -> bool:

@@ -71,8 +71,9 @@ class Graph:
             flat.flags.writeable = False
             matrix = flat.reshape(n, n)
             degrees = matrix.sum(axis=1)
-        else:  # each edge once as (low, high), sorted: the unique codes low n + high, read back
-            codes = np.unique(np.minimum(i, j) * np.int64(n) + np.maximum(i, j))
+        else:  # each edge once as (low, high), sorted: the distinct codes low n + high, read back
+            codes = np.sort(np.minimum(i, j) * np.int64(n) + np.maximum(i, j))
+            codes = codes[np.diff(codes, prepend=-1) > 0]  # not np.unique, which hashes first
             matrix, ends = None, divmod(codes, n)
             degrees = np.bincount(np.concatenate(ends), minlength=n)
         g = object.__new__(Graph)  # frozen: the fields are written past __setattr__

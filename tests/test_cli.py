@@ -336,6 +336,25 @@ def test_sweep_gate_uses_the_soundness_tolerance(monkeypatch, capsys):
     assert "1 bound violation(s)" in err
 
 
+def test_input_error_wins_over_a_violation(monkeypatch, tmp_path, capsys):
+    # Line 1 (Petersen) violates under the patch; line 2 is edgeless, so nothing is emitted.
+    real = cli.bound_sweep
+
+    def undercut(g, max_degree):
+        return tuple(
+            dataclasses.replace(e, upper=dataclasses.replace(e.upper, objective=15.0))
+            for e in real(g, max_degree)
+        )
+
+    monkeypatch.setattr(cli, "bound_sweep", undercut)
+    path = tmp_path / "two.g6"
+    argv = ["sweep", "--in", str(path), "--max-degree", "2", "--fail-on-violation"]
+    path.write_text("IheA@GUAo\n")
+    assert run_cli(argv, capsys)[::2] == (2, "1 bound violation(s)\n")
+    path.write_text("IheA@GUAo\nA?\n")
+    assert run_cli(argv, capsys) == (1, "", "line 2: polynomial bounds need at least one edge\n")
+
+
 def test_sweep_edgeless_graph_fails_cleanly(capsys):
     code, out, err = run_cli(["sweep", "--gen", "path:1", "--max-degree", "2"], capsys)
     assert code == 1

@@ -67,10 +67,11 @@ def test_detect_design_incidence(spec, params):
 
 
 @pytest.mark.parametrize(
-    "spec", ["petersen", "star:4", "path:4", "path:5", "bipartite:2:3", "complete:5"]
+    "spec", ["petersen", "star:4", "path:4", "path:5", "bipartite:2:3", "complete:5", "cycle:8"]
 )
 def test_detect_design_incidence_rejects(spec):
     # path:4 has equal parts and codegree 1 within each, but is not regular.
+    # cycle:8 is regular and bipartite, but its within-part codegrees are 0 and 1.
     g = corpus_graph(spec)
     assert me.detect_design_incidence(g, summary_of(g)) is None
 

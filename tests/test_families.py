@@ -1,6 +1,7 @@
 """Generator families: sizes, structure, spec grammar, determinism."""
 
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -86,14 +87,25 @@ def test_petersen_is_kneser():
     assert me.trace_moments(g, 3)[3] == 0
 
 
-def test_rook_row_column_adjacency():
-    s = 3
+@pytest.mark.parametrize("s", [2, 3, 5, 12])
+def test_rook_row_column_adjacency(s):
     g = me.rook(s)
     for v in range(s * s):
         for w in range(v + 1, s * s):
             same_row = v // s == w // s
             same_col = v % s == w % s
             assert g.has_edge(v, w) == (same_row or same_col)
+
+
+def test_rook_builds_its_lines_instead_of_masking_every_vertex_pair():
+    tracemalloc.start()
+    try:
+        g = me.rook(60)  # n = 3600: the index arrays of all (n choose 2) vertex pairs take 104 MB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.matrix is None and g.m == 60 * 60 * 59
+    assert peak < 100 * g.m
 
 
 def test_projective_plane_counts():
